@@ -4,7 +4,7 @@
 
 use burst_bench::attn_problem;
 use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -40,7 +40,7 @@ fn bench_algorithms(c: &mut Criterion) {
                 let world = World::new(topo.clone());
                 world.run_results(|comm| {
                     let idx = Layout::Zigzag.indices(n, g, comm.rank());
-                    run_attention(
+                    try_run_attention_opts(
                         algo,
                         comm,
                         &p.q.gather_rows(&idx),
@@ -52,7 +52,9 @@ fn bench_algorithms(c: &mut Criterion) {
                         Layout::Zigzag,
                         n,
                         &CostModel::free(),
+                        false,
                     )
+                    .expect("fault-free run")
                 })
             })
         });
@@ -72,7 +74,7 @@ fn bench_world_scaling(c: &mut Criterion) {
                 let world = World::new(Topology::single_node(g));
                 world.run_results(|comm| {
                     let idx = Layout::Zigzag.indices(n, g, comm.rank());
-                    run_attention(
+                    try_run_attention_opts(
                         Algo::BurstFlat,
                         comm,
                         &p.q.gather_rows(&idx),
@@ -84,7 +86,9 @@ fn bench_world_scaling(c: &mut Criterion) {
                         Layout::Zigzag,
                         n,
                         &CostModel::free(),
+                        false,
                     )
+                    .expect("fault-free run")
                 })
             })
         });

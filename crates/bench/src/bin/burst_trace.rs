@@ -45,9 +45,7 @@ use burst_comm::obs::{
 use burst_comm::{
     CommStats, DetectorCfg, FaultCounters, FaultPlan, Topology, TransportPolicy, WireDtype, World,
 };
-use burst_dattn::{
-    run_attention, try_run_attention, try_run_attention_opts, Algo, CostModel, Layout,
-};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_perf::commtime::{
     exact_wire_counts, exact_wire_counts_masked_dtype, layer_comm_times, RetransCensus, RingMethod,
@@ -277,7 +275,7 @@ fn fault_demo(topo: &Topology, seq: usize, d: usize) -> Result<(), String> {
             grad_o.gather_rows(&idx),
         );
         comm.start_trace();
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstTopo,
             comm,
             &ql,
@@ -289,6 +287,7 @@ fn fault_demo(topo: &Topology, seq: usize, d: usize) -> Result<(), String> {
             layout,
             seq,
             &cost,
+            false,
         )
         .map(|_| ())
     });
@@ -350,7 +349,7 @@ fn traced_attention(
         );
         comm.start_trace();
         comm.start_mem_accounting();
-        let (o, lse, dq, dk, dv) = run_attention(
+        let (o, lse, dq, dk, dv) = try_run_attention_opts(
             Algo::BurstTopo,
             comm,
             &ql,
@@ -362,7 +361,9 @@ fn traced_attention(
             layout,
             seq,
             &cost,
-        );
+            false,
+        )
+        .expect("fault-free run");
         let mut flat = o.as_slice().to_vec();
         flat.extend_from_slice(dq.as_slice());
         flat.extend_from_slice(dk.as_slice());

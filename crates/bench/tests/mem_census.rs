@@ -11,10 +11,11 @@
 
 use burst_comm::obs::{peak_census, validate_mem, PeakBytes};
 use burst_comm::{FaultPlan, Membership, RetryPolicy, Topology, WireDtype, World};
-use burst_dattn::ulysses::{ulysses_backward, ulysses_forward};
-use burst_dattn::usp::{usp_backward, usp_forward, UspTopo};
+use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
-    run_attention, try_elastic_attention, try_run_attention, Algo, CostModel, Layout, ShardData,
+    try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, ElasticOpts, Layout,
+    ShardData,
 };
 use burst_kernels::AttnMask;
 use burst_perf::{exact_peak_bytes_dtype, Cluster, PeakMethod};
@@ -53,7 +54,7 @@ fn measured_dispatch(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<P
                 shard_of(layout, seq, g, r, &grad_o),
             );
             comm.start_mem_accounting();
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &ql,
@@ -65,7 +66,9 @@ fn measured_dispatch(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<P
                 layout,
                 seq,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free run");
         })
         .into_iter()
         .map(|o| {
@@ -103,6 +106,89 @@ fn dispatcher_peaks_match_exact_census_on_every_topology_and_dtype() {
                         "{algo:?} {nodes}x{gpn} {dtype:?} rank {rank}: \
                          measured {got:?} != census {want:?}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Per-rank measured gated peaks of one masked, skipping dispatcher run.
+fn measured_masked_dispatch(
+    algo: Algo,
+    topo: &Topology,
+    seq: usize,
+    d: usize,
+    mask: &AttnMask,
+    layout: Layout,
+) -> Vec<PeakBytes> {
+    let g = topo.world_size();
+    let (q, k, v, grad_o, scale) = problem(seq, d);
+    World::new(topo.clone())
+        .run(|comm| {
+            let r = comm.rank();
+            comm.start_mem_accounting();
+            try_run_attention_opts(
+                algo,
+                comm,
+                &shard_of(layout, seq, g, r, &q),
+                &shard_of(layout, seq, g, r, &k),
+                &shard_of(layout, seq, g, r, &v),
+                &shard_of(layout, seq, g, r, &grad_o),
+                scale,
+                mask,
+                layout,
+                seq,
+                &CostModel::a800(),
+                true,
+            )
+            .expect("fault-free run");
+        })
+        .into_iter()
+        .map(|o| {
+            let m = o.mem.expect("accounting was on");
+            validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
+            assert!(
+                m.warnings.is_empty(),
+                "healthy run leaked: {:?}",
+                m.warnings
+            );
+            m.peak.gated()
+        })
+        .collect()
+}
+
+#[test]
+fn masked_dispatcher_peaks_match_exact_masked_census() {
+    // Skipping on, so the gated comm-buffer slots really do differ per
+    // rank: a sliding window leaves whole kv-shards unreceived.
+    let (nodes, gpn, seq, d) = (2usize, 2usize, 64usize, 8usize);
+    let cluster = Cluster::a800(nodes, gpn);
+    let methods = [
+        (Algo::RingFlat, PeakMethod::RingFlat),
+        (Algo::BurstFlat, PeakMethod::BurstFlat),
+        (Algo::DoubleRing, PeakMethod::DoubleRing),
+        (Algo::BurstTopo, PeakMethod::BurstTopo),
+    ];
+    let masks = [
+        AttnMask::Causal,
+        AttnMask::SlidingWindow { window: seq / 4 },
+    ];
+    for dtype in DTYPES {
+        let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
+        for mask in &masks {
+            for layout in [Layout::Zigzag, Layout::Contiguous] {
+                for (algo, method) in methods {
+                    let got = measured_masked_dispatch(algo, &topo, seq, d, mask, layout);
+                    for (rank, got) in got.iter().enumerate() {
+                        let want = burst_perf::exact_peak_bytes_masked_dtype(
+                            &cluster, seq, d, method, dtype, mask, layout, None, true, rank,
+                        );
+                        assert_eq!(
+                            *got, want,
+                            "{algo:?} {mask:?} {layout:?} {dtype:?} rank {rank}: \
+                             measured {got:?} != masked census {want:?}"
+                        );
+                    }
                 }
             }
         }
@@ -147,7 +233,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
             let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(my_idx)).collect();
             let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(my_idx)).collect();
             comm.start_mem_accounting();
-            let (_, saved) = ulysses_forward(
+            let (_, saved) = try_ulysses_forward(
                 comm,
                 &members,
                 &member_idx,
@@ -159,7 +245,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 &CostModel::free(),
             )
             .expect("ulysses forward");
-            ulysses_backward(
+            try_ulysses_backward(
                 comm,
                 &members,
                 &member_idx,
@@ -200,7 +286,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
             let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
             let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
             comm.start_mem_accounting();
-            let (_, saved) = usp_forward(
+            let (_, saved) = try_usp_forward(
                 comm,
                 &utopo,
                 &ql,
@@ -212,7 +298,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 &CostModel::free(),
             )
             .expect("usp forward");
-            usp_backward(
+            try_usp_backward(
                 comm,
                 &utopo,
                 &saved,
@@ -266,7 +352,7 @@ fn elastic_healthy_peaks_match_exact_census() {
                     shard_of(layout, seq, g, rank, &grad_o),
                 )
             };
-            let out = try_elastic_attention(
+            let out = try_elastic_attention_opts(
                 comm,
                 &mut membership,
                 &ql,
@@ -280,6 +366,7 @@ fn elastic_healthy_peaks_match_exact_census() {
                 &CostModel::a800(),
                 &mut load,
                 &RetryPolicy::default(),
+                ElasticOpts::default(),
             )
             .expect("healthy elastic run");
             assert_eq!(out.attempts, 1);
@@ -322,7 +409,7 @@ fn accounting_is_bit_identical_and_entry_count_is_round_independent() {
             if accounting {
                 comm.start_mem_accounting();
             }
-            let (o, lse, dq, dk, dv) = run_attention(
+            let (o, lse, dq, dk, dv) = try_run_attention_opts(
                 Algo::BurstTopo,
                 comm,
                 &ql,
@@ -334,7 +421,9 @@ fn accounting_is_bit_identical_and_entry_count_is_round_independent() {
                 layout,
                 seq,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free run");
             let mut bits: Vec<u32> = Vec::new();
             for m in [&o, &dq, &dk, &dv] {
                 bits.extend(m.as_slice().iter().map(|x| x.to_bits()));
@@ -400,7 +489,7 @@ fn crashed_rank_ledger_balances_with_warnings() {
             shard_of(layout, seq, g, r, &grad_o),
         );
         comm.start_mem_accounting();
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstFlat,
             comm,
             &ql,
@@ -412,6 +501,7 @@ fn crashed_rank_ledger_balances_with_warnings() {
             layout,
             seq,
             &CostModel::a800(),
+            false,
         )
         .map(|_| ())
     });

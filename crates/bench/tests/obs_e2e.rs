@@ -6,7 +6,7 @@
 
 use burst_comm::obs::{wire_secs, E2eReport, MethodReport, RankTrace};
 use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_perf::commtime::{exact_wire_counts, layer_comm_times, RingMethod};
 use burst_perf::Cluster;
@@ -37,7 +37,7 @@ fn traces(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<RankTrace> {
                 grad_o.gather_rows(&idx),
             );
             comm.start_trace();
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &ql,
@@ -49,7 +49,9 @@ fn traces(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<RankTrace> {
                 layout,
                 seq,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free run");
         })
         .into_iter()
         .map(|o| o.trace.expect("tracing was on"))

@@ -9,16 +9,16 @@
 //!
 //! Three schedules are provided:
 //!
-//! * [`double_ring_forward`] — shared by DoubleRingAttention and
+//! * [`try_double_ring_forward`] — shared by DoubleRingAttention and
 //!   BurstAttention: `K, V` are read-only, so the inter-node transfer is
 //!   posted at the *start* of each outer iteration and hides behind the
 //!   whole intra-node sweep;
-//! * [`double_ring_backward_alg1`] — the LoongTrain DoubleRing baseline:
+//! * [`try_double_ring_backward_alg1`] — the LoongTrain DoubleRing baseline:
 //!   Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates through every rank.
 //!   Gradients ride in the same buffers as activations, so *nothing* can be
 //!   posted early: each transfer waits for the compute that updated it
 //!   (the paper's "fails to overlap gradient communication" critique);
-//! * [`double_ring_backward_alg2`] — full BurstAttention: Algorithm 2's
+//! * [`try_double_ring_backward_alg2`] — full BurstAttention: Algorithm 2's
 //!   read-only bundle `(Q, ∇O, Lse, D)` flows exactly like the forward
 //!   (early posts), while `∇Q` follows one compute step behind on a
 //!   delayed stream (warm-up-round schedule, Fig. 5 bottom), so gradient
@@ -28,10 +28,15 @@
 //! accumulators and one reused [`Scratch`], and read the local shard (and
 //! each sweep's start bundle) by reference — steady-state rounds perform no
 //! heap allocations in the tile-compute path.
+//!
+//! Every schedule runs over an explicit [`DoubleRingSpec`] — the full
+//! topology ([`DoubleRingSpec::full`]) or a node-balanced survivor set —
+//! and the caller's `Q/K/V` must hold the tokens of its *slot* in the
+//! spec's `len()`-way partition (`AttnShard::idx_at`). Failures at slot
+//! `(outer, inner)` are reported with global round
+//! `outer · gpus_per_node + inner`.
 
-use crate::ring::{
-    escalate_attn, AttnFailure, AttnShard, BackwardInputs, DistAttnOut, KvHold, Phase,
-};
+use crate::ring::{AttnFailure, AttnShard, BackwardInputs, DistAttnOut, KvHold, Phase};
 use burst_comm::{Communicator, MemCategory, SpanKind, Topology};
 use burst_kernels::{attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, KernelWork};
 use burst_tensor::{Mat, Scratch};
@@ -183,27 +188,7 @@ impl DoubleRingSpec {
 }
 
 /// Forward pass over the two-level ring.
-pub fn double_ring_forward(comm: &mut Communicator, shard: &AttnShard) -> DistAttnOut {
-    match try_double_ring_forward(comm, shard) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`double_ring_forward`]: failures at slot `(outer, inner)` are
-/// reported with global round `outer · gpus_per_node + inner`.
 pub fn try_double_ring_forward(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-) -> Result<DistAttnOut, AttnFailure> {
-    let spec = DoubleRingSpec::full(comm.topology());
-    try_double_ring_forward_on(comm, shard, &spec)
-}
-
-/// [`try_double_ring_forward`] over an explicit [`DoubleRingSpec`] — the
-/// elastic entry point: the caller's `Q/K/V` must hold the tokens of its
-/// *slot* in the spec's `len()`-way partition (`AttnShard::idx_at`).
-pub fn try_double_ring_forward_on(
     comm: &mut Communicator,
     shard: &AttnShard,
     spec: &DoubleRingSpec,
@@ -356,29 +341,7 @@ pub fn try_double_ring_forward_on(
 /// that updated it: communication serialises with compute. After the sweep,
 /// the bundle is one node and `nodes mod gpn` local hops away from home;
 /// the completion hops deliver `(∇K, ∇V)` back to their owner.
-pub fn double_ring_backward_alg1(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> (Mat, Mat, Mat) {
-    match try_double_ring_backward_alg1(comm, shard, back) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`double_ring_backward_alg1`].
 pub fn try_double_ring_backward_alg1(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
-    let spec = DoubleRingSpec::full(comm.topology());
-    try_double_ring_backward_alg1_on(comm, shard, back, &spec)
-}
-
-/// [`try_double_ring_backward_alg1`] over an explicit [`DoubleRingSpec`].
-pub fn try_double_ring_backward_alg1_on(
     comm: &mut Communicator,
     shard: &AttnShard,
     back: &BackwardInputs,
@@ -598,29 +561,7 @@ pub fn try_double_ring_backward_alg1_on(
 /// contribution at slot `(o, t)`, it forwards `∇Q_j` to the rank that
 /// processes bundle `j` at the next slot — `next_in_node(r)` within a
 /// sweep, and the *diagonal* peer `peer_next(next_in(r))` across sweeps.
-pub fn double_ring_backward_alg2(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> (Mat, Mat, Mat) {
-    match try_double_ring_backward_alg2(comm, shard, back) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`double_ring_backward_alg2`].
 pub fn try_double_ring_backward_alg2(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
-    let spec = DoubleRingSpec::full(comm.topology());
-    try_double_ring_backward_alg2_on(comm, shard, back, &spec)
-}
-
-/// [`try_double_ring_backward_alg2`] over an explicit [`DoubleRingSpec`].
-pub fn try_double_ring_backward_alg2_on(
     comm: &mut Communicator,
     shard: &AttnShard,
     back: &BackwardInputs,

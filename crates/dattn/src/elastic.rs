@@ -17,13 +17,9 @@
 //! shard re-assembly from per-rank checkpoint data, and the re-run loop.
 
 use crate::cost::CostModel;
-use crate::double_ring::{
-    try_double_ring_backward_alg2_on, try_double_ring_forward_on, DoubleRingSpec,
-};
 use crate::layout::Layout;
-use crate::ring::{
-    try_burst_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, OverlapMode, Ring,
-};
+use crate::ring::{AttnFailure, AttnShard, BackwardInputs, OverlapMode};
+use crate::{Algo, RingSchedule};
 use burst_comm::{
     agree_on_eviction, send_abort, CommError, Communicator, MemCategory, MemId, Membership,
     RetryPolicy, SpanKind,
@@ -65,10 +61,10 @@ pub struct ElasticAttnOut {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ElasticOpts {
     /// Run the topology-aware double-ring schedules (forward + Algorithm 2
-    /// backward) whenever the alive set preserves node locality
-    /// ([`DoubleRingSpec::from_members`]); ragged alive sets fall back to
-    /// the flat ring for that attempt (counted in
-    /// [`ElasticAttnOut::flat_fallbacks`]).
+    /// backward, [`Algo::BurstTopo`]) whenever the alive set preserves node
+    /// locality; ragged alive sets fall back to the flat ring for that
+    /// attempt (counted in [`ElasticAttnOut::flat_fallbacks`]). Off runs
+    /// [`Algo::BurstFlat`].
     pub double_ring: bool,
     /// This rank's local `Q/K/V/∇O` buffers are stale (a freshly re-admitted
     /// joiner warm-starting from checkpoint): force a partition rebuild even
@@ -164,46 +160,12 @@ fn rebuild_partition(
 /// at most once per `r`). On a mid-ring failure the survivors evict the
 /// dead rank(s), re-partition over the shrunken ring and re-run; the
 /// output is bit-identical to a run that started with the smaller world.
+/// [`ElasticOpts`] selects topology-aware double-ring scheduling, a
+/// warm-starting joiner whose shard must be reassembled entirely from
+/// checkpoint data, and mask-aware round skipping.
 ///
 /// A rank observing its own scheduled crash returns the failure without
 /// joining the agreement — the dead stay silent.
-#[allow(clippy::too_many_arguments)]
-pub fn try_elastic_attention(
-    comm: &mut Communicator,
-    m: &mut Membership,
-    q: &Mat,
-    k: &Mat,
-    v: &Mat,
-    grad_o: &Mat,
-    scale: f32,
-    mask: &AttnMask,
-    layout: Layout,
-    seq_len: usize,
-    cost: &CostModel,
-    load_shard: &mut dyn FnMut(usize) -> ShardData,
-    policy: &RetryPolicy,
-) -> Result<ElasticAttnOut, AttnFailure> {
-    try_elastic_attention_opts(
-        comm,
-        m,
-        q,
-        k,
-        v,
-        grad_o,
-        scale,
-        mask,
-        layout,
-        seq_len,
-        cost,
-        load_shard,
-        policy,
-        ElasticOpts::default(),
-    )
-}
-
-/// [`try_elastic_attention`] with explicit [`ElasticOpts`]: topology-aware
-/// double-ring scheduling and/or a warm-starting joiner whose shard must be
-/// reassembled entirely from checkpoint data.
 #[allow(clippy::too_many_arguments)]
 pub fn try_elastic_attention_opts(
     comm: &mut Communicator,
@@ -309,10 +271,6 @@ pub fn try_elastic_attention_opts(
             max_token: None,
             skip: opts.skip_masked_rounds,
         };
-        let ring = Ring {
-            members: members.clone(),
-            pos,
-        };
         // Attempts past the first re-run the step on the shrunken ring:
         // mark them as replay time so the trace separates productive work
         // from recovery.
@@ -320,38 +278,25 @@ pub fn try_elastic_attention_opts(
         if attempts > 1 {
             comm.span_begin(SpanKind::Replay, "replay_attempt");
         }
-        // Schedule selection: the topology-aware double-ring when requested
-        // and the alive set preserves node locality, the flat ring
-        // otherwise. Slot order == ascending member order == ring position,
-        // so both schedules consume the identical partition.
-        let dr_spec = if opts.double_ring {
-            DoubleRingSpec::from_members(comm.topology(), &members)
+        let algo = if opts.double_ring {
+            Algo::BurstTopo
         } else {
-            None
+            Algo::BurstFlat
         };
-        if opts.double_ring && dr_spec.is_none() {
+        let schedule = RingSchedule::new(comm, algo, &members);
+        if schedule.flat_fallback() {
             flat_fallbacks += 1;
         }
-        let result = match &dr_spec {
-            Some(spec) => try_double_ring_forward_on(comm, &shard, spec).and_then(|fwd| {
-                let back = BackwardInputs {
-                    o: &fwd.o,
-                    lse: &fwd.lse,
-                    grad_o: sgo,
-                };
-                try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
-                    .map(|(dq, dk, dv)| (fwd, dq, dk, dv))
-            }),
-            None => try_ring_forward(comm, &ring, &shard).and_then(|fwd| {
-                let back = BackwardInputs {
-                    o: &fwd.o,
-                    lse: &fwd.lse,
-                    grad_o: sgo,
-                };
-                try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)
-                    .map(|(dq, dk, dv)| (fwd, dq, dk, dv))
-            }),
-        };
+        let result = schedule.try_forward(comm, &shard).and_then(|fwd| {
+            let back = BackwardInputs {
+                o: &fwd.o,
+                lse: &fwd.lse,
+                grad_o: sgo,
+            };
+            schedule
+                .try_backward(comm, &shard, &back, OverlapMode::Fine)
+                .map(|(dq, dk, dv)| (fwd, dq, dk, dv))
+        });
         // Settle the span stack: closes the replay span and any round span
         // a failure left open via `?`.
         comm.span_unwind(span_depth);

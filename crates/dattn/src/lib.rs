@@ -38,14 +38,11 @@ pub mod usp;
 
 pub use cost::CostModel;
 pub use double_ring::DoubleRingSpec;
-pub use elastic::{
-    try_elastic_attention, try_elastic_attention_opts, ElasticAttnOut, ElasticOpts, ShardData,
-};
+pub use elastic::{try_elastic_attention_opts, ElasticAttnOut, ElasticOpts, ShardData};
 pub use layout::Layout;
 pub use ring::{
-    burst_backward, ring_backward, ring_forward, try_burst_backward, try_ring_backward,
-    try_ring_forward, AttnFailure, AttnShard, BackwardInputs, DistAttnOut, OverlapMode, Phase,
-    Ring,
+    escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, AttnFailure, AttnShard,
+    BackwardInputs, DistAttnOut, OverlapMode, Phase, Ring,
 };
 pub use skip::{
     census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,
@@ -121,56 +118,107 @@ pub enum Algo {
     BurstTopo,
 }
 
-/// One forward+backward of the selected algorithm on this rank's shard.
-/// Returns `(O, Lse, dQ, dK, dV)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attention(
-    algo: Algo,
-    comm: &mut Communicator,
-    q: &Mat,
-    k: &Mat,
-    v: &Mat,
-    grad_o: &Mat,
-    scale: f32,
-    mask: &AttnMask,
-    layout: Layout,
-    seq_len: usize,
-    cost: &CostModel,
-) -> (Mat, Vec<f32>, Mat, Mat, Mat) {
-    match try_run_attention(
-        algo, comm, q, k, v, grad_o, scale, mask, layout, seq_len, cost,
-    ) {
-        Ok(out) => out,
-        Err(e) => ring::escalate_attn(comm, e),
+/// Where a ring-family schedule runs.
+#[derive(Debug, Clone)]
+enum Placement {
+    /// The flat ring over the member set.
+    Flat(Ring),
+    /// The two-level ring of §3.1 over a node-balanced member set.
+    Double(DoubleRingSpec),
+}
+
+/// A ring-family schedule over a member set: the placement an [`Algo`]
+/// runs on, plus its forward and its Algorithm 1 or Algorithm 2 backward.
+/// Every ring-family entry point — [`try_run_attention_opts`],
+/// [`try_elastic_attention_opts`] and the model's ring executors — runs
+/// through it, so this is the one place an `Algo` maps to schedule passes.
+#[derive(Debug, Clone)]
+pub struct RingSchedule {
+    placement: Placement,
+    /// BurstAttention's Algorithm 2 backward; RingAttention's Algorithm 1
+    /// otherwise.
+    alg2: bool,
+    flat_fallback: bool,
+}
+
+impl RingSchedule {
+    /// The schedule of `algo` over `members` (ascending; the calling rank
+    /// must be one of them). Topology-aware algorithms take the two-level
+    /// ring when the members preserve node balance
+    /// ([`DoubleRingSpec::from_members`]) and fall back to the flat ring
+    /// when they are ragged. Slot order == ascending member order == ring
+    /// position, so both placements consume the identical partition.
+    pub fn new(comm: &Communicator, algo: Algo, members: &[usize]) -> Self {
+        let (topo_aware, alg2) = match algo {
+            Algo::RingFlat => (false, false),
+            Algo::BurstFlat => (false, true),
+            Algo::DoubleRing => (true, false),
+            Algo::BurstTopo => (true, true),
+        };
+        let spec = if topo_aware {
+            DoubleRingSpec::from_members(comm.topology(), members)
+        } else {
+            None
+        };
+        RingSchedule {
+            flat_fallback: topo_aware && spec.is_none(),
+            placement: match spec {
+                Some(spec) => Placement::Double(spec),
+                None => Placement::Flat(Ring::subgroup(comm, members.to_vec())),
+            },
+            alg2,
+        }
+    }
+
+    /// Whether a topology-aware algorithm runs on the flat ring because the
+    /// members are ragged across nodes.
+    pub fn flat_fallback(&self) -> bool {
+        self.flat_fallback
+    }
+
+    /// The forward pass (shared by Algorithms 1 and 2).
+    pub fn try_forward(
+        &self,
+        comm: &mut Communicator,
+        shard: &AttnShard,
+    ) -> Result<DistAttnOut, AttnFailure> {
+        match &self.placement {
+            Placement::Flat(ring) => try_ring_forward(comm, ring, shard),
+            Placement::Double(spec) => double_ring::try_double_ring_forward(comm, shard, spec),
+        }
+    }
+
+    /// The backward pass: `(∇Q, ∇K, ∇V)`. `overlap` applies to the flat
+    /// ring; the two-level schedules have their overlap built in.
+    pub fn try_backward(
+        &self,
+        comm: &mut Communicator,
+        shard: &AttnShard,
+        back: &BackwardInputs,
+        overlap: OverlapMode,
+    ) -> Result<(Mat, Mat, Mat), AttnFailure> {
+        match (&self.placement, self.alg2) {
+            (Placement::Flat(ring), false) => try_ring_backward(comm, ring, shard, back, overlap),
+            (Placement::Flat(ring), true) => try_burst_backward(comm, ring, shard, back, overlap),
+            (Placement::Double(spec), false) => {
+                double_ring::try_double_ring_backward_alg1(comm, shard, back, spec)
+            }
+            (Placement::Double(spec), true) => {
+                double_ring::try_double_ring_backward_alg2(comm, shard, back, spec)
+            }
+        }
     }
 }
 
-/// Fallible [`run_attention`]: a mid-loop communication fault surfaces as an
-/// [`AttnFailure`] naming the rank, the peer, the ring round and the phase.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_attention(
-    algo: Algo,
-    comm: &mut Communicator,
-    q: &Mat,
-    k: &Mat,
-    v: &Mat,
-    grad_o: &Mat,
-    scale: f32,
-    mask: &AttnMask,
-    layout: Layout,
-    seq_len: usize,
-    cost: &CostModel,
-) -> Result<(Mat, Vec<f32>, Mat, Mat, Mat), AttnFailure> {
-    try_run_attention_opts(
-        algo, comm, q, k, v, grad_o, scale, mask, layout, seq_len, cost, false,
-    )
-}
-
-/// [`try_run_attention`] with mask-aware round skipping selectable: with
-/// `skip` on, every schedule classifies each (q-shard × kv-shard) tile via
-/// [`AttnMask::tile_state`] and elides fully-masked rounds — no compute, no
-/// wire traffic, no virtual time — while staying bit-identical to the
-/// unskipped run (a skipped tile contributes exactly nothing).
+/// One forward+backward of the selected algorithm on this rank's shard of
+/// the full world, returning `(O, Lse, ∇Q, ∇K, ∇V)`. A mid-loop
+/// communication fault surfaces as an [`AttnFailure`] naming the rank, the
+/// peer, the ring round and the phase.
+///
+/// With `skip` on, every schedule classifies each (q-shard × kv-shard) tile
+/// via [`AttnMask::tile_state`] and elides fully-masked rounds — no
+/// compute, no wire traffic, no virtual time — while staying bit-identical
+/// to the unskipped run (a skipped tile contributes exactly nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_attention_opts(
     algo: Algo,
@@ -205,11 +253,9 @@ pub fn try_run_attention_opts(
         MemCategory::RingShards,
         (q.nbytes() + k.nbytes() + v.nbytes() + grad_o.nbytes()) as u64,
     );
-    let ring = Ring::global(comm);
-    let fwd = match algo {
-        Algo::RingFlat | Algo::BurstFlat => try_ring_forward(comm, &ring, &shard)?,
-        Algo::DoubleRing | Algo::BurstTopo => double_ring::try_double_ring_forward(comm, &shard)?,
-    };
+    let members: Vec<usize> = (0..comm.world_size()).collect();
+    let schedule = RingSchedule::new(comm, algo, &members);
+    let fwd = schedule.try_forward(comm, &shard)?;
     // The forward's (O, Lse) outputs stay live through the backward (the
     // schedule's own accumulator entry closed when it returned them).
     let mem_out = comm.mem_alloc(
@@ -222,12 +268,7 @@ pub fn try_run_attention_opts(
         lse: &fwd.lse,
         grad_o,
     };
-    let (dq, dk, dv) = match algo {
-        Algo::RingFlat => try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?,
-        Algo::BurstFlat => try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?,
-        Algo::DoubleRing => double_ring::try_double_ring_backward_alg1(comm, &shard, &back)?,
-        Algo::BurstTopo => double_ring::try_double_ring_backward_alg2(comm, &shard, &back)?,
-    };
+    let (dq, dk, dv) = schedule.try_backward(comm, &shard, &back, OverlapMode::Fine)?;
     comm.mem_free(mem_out);
     comm.mem_free(mem_inputs);
     Ok((fwd.o, fwd.lse, dq, dk, dv))

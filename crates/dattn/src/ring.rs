@@ -114,10 +114,11 @@ impl std::error::Error for AttnFailure {
     }
 }
 
-/// Escalate an attention failure through the infallible API: under a fault
-/// plan the panic payload is the underlying [`CommError`] (recoverable by
-/// `World::run_faulty`); otherwise a readable message with phase/round.
-pub(crate) fn escalate_attn(comm: &Communicator, e: AttnFailure) -> ! {
+/// Escalate an attention failure where the caller's contract is infallible
+/// (the model's `AttnExec` executors): under a fault plan the panic payload
+/// is the underlying [`CommError`] (recoverable by `World::run_faulty`);
+/// otherwise a readable message with phase/round.
+pub fn escalate_attn(comm: &Communicator, e: AttnFailure) -> ! {
     if comm.has_faults() {
         std::panic::panic_any(e.source)
     } else {
@@ -289,15 +290,9 @@ impl Ring {
 /// for every ring position are precomputed, and the kernel merges each
 /// partition straight into persistent `(O, Lse)` accumulators through one
 /// reused [`Scratch`].
-pub fn ring_forward(comm: &mut Communicator, ring: &Ring, shard: &AttnShard) -> DistAttnOut {
-    match try_ring_forward(comm, ring, shard) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`ring_forward`]: a failed send/receive at ring round `k`
-/// surfaces as an [`AttnFailure`] carrying `(Phase::Forward, k)`.
+///
+/// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
+/// carrying `(Phase::Forward, k)`.
 pub fn try_ring_forward(
     comm: &mut Communicator,
     ring: &Ring,
@@ -404,21 +399,9 @@ pub fn try_ring_forward(
 /// locally. Per Algorithm 1 line 10, `D_i = rowsum(∇O_i ∘ O_i)` is
 /// recomputed every round — we charge its (small) cost each round, which is
 /// precisely the compute overhead Algorithm 2 removes.
-pub fn ring_backward(
-    comm: &mut Communicator,
-    ring: &Ring,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-    overlap: OverlapMode,
-) -> (Mat, Mat, Mat) {
-    match try_ring_backward(comm, ring, shard, back, overlap) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`ring_backward`]: a failed send/receive at ring round `k`
-/// surfaces as an [`AttnFailure`] carrying `(Phase::Backward, k)`.
+///
+/// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
+/// carrying `(Phase::Backward, k)`.
 pub fn try_ring_backward(
     comm: &mut Communicator,
     ring: &Ring,
@@ -594,21 +577,9 @@ pub fn try_ring_backward(
 /// receipt* (before the local compute) and `∇Q` follows one round behind —
 /// the warm-up-round schedule of Fig. 5 that lets gradient communication
 /// hide under compute.
-pub fn burst_backward(
-    comm: &mut Communicator,
-    ring: &Ring,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-    overlap: OverlapMode,
-) -> (Mat, Mat, Mat) {
-    match try_burst_backward(comm, ring, shard, back, overlap) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`burst_backward`]: a failed send/receive at ring round `k`
-/// surfaces as an [`AttnFailure`] carrying `(Phase::Backward, k)`.
+///
+/// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
+/// carrying `(Phase::Backward, k)`.
 pub fn try_burst_backward(
     comm: &mut Communicator,
     ring: &Ring,

@@ -10,7 +10,7 @@
 //! DeepSpeed does.
 
 use crate::cost::CostModel;
-use crate::ring::{escalate_attn, AttnFailure, Phase};
+use crate::ring::{AttnFailure, Phase};
 use crate::DattnError;
 use burst_comm::{CommError, Communicator, MemCategory, MemId, SpanKind};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
@@ -144,31 +144,10 @@ pub(crate) fn stash_entry(
 /// Ulysses forward. `member_idx[p]` lists the global token indices of member
 /// `p`'s local rows (contiguous chunks for pure Ulysses; arbitrary slices
 /// when embedded in USP). Returns the local per-head outputs plus the saved
-/// state for [`ulysses_backward`].
-#[allow(clippy::too_many_arguments)]
-pub fn ulysses_forward(
-    comm: &mut Communicator,
-    members: &[usize],
-    member_idx: &[Vec<usize>],
-    q_heads: &[Mat],
-    k_heads: &[Mat],
-    v_heads: &[Mat],
-    scale: f32,
-    mask: &AttnMask,
-    cost: &CostModel,
-) -> Result<(Vec<Mat>, UlyssesSaved), UlyssesError> {
-    match try_ulysses_forward(
-        comm, members, member_idx, q_heads, k_heads, v_heads, scale, mask, cost,
-    ) {
-        Ok(out) => Ok(out),
-        Err(DattnError::Infeasible(e)) => Err(e),
-        Err(DattnError::Comm(e)) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`ulysses_forward`]: communication failures carry
-/// `(Phase::Forward, k)` where `k` is the all-to-all index (0 = Q, 1 = K,
-/// 2 = V, 3 = output).
+/// state for [`try_ulysses_backward`].
+///
+/// Communication failures carry `(Phase::Forward, k)` where `k` is the
+/// all-to-all index (0 = Q, 1 = K, 2 = V, 3 = output).
 #[allow(clippy::too_many_arguments)]
 pub fn try_ulysses_forward(
     comm: &mut Communicator,
@@ -193,7 +172,7 @@ pub fn try_ulysses_forward(
     let pos = members
         .iter()
         .position(|&m| m == comm.rank())
-        .expect("ulysses_forward: caller not in group");
+        .expect("try_ulysses_forward: caller not in group");
     let full_idx: Vec<usize> = member_idx.iter().flatten().copied().collect();
     let dh = q_heads[0].cols();
 
@@ -328,36 +307,9 @@ pub type HeadGrads = (Vec<Mat>, Vec<Mat>, Vec<Mat>);
 
 /// Ulysses backward: all-to-all of `∇O`, local blocked backward per owned
 /// head, all-to-all of `(∇Q, ∇K, ∇V)` back to the sequence partition.
-#[allow(clippy::too_many_arguments)]
-pub fn ulysses_backward(
-    comm: &mut Communicator,
-    members: &[usize],
-    member_idx: &[Vec<usize>],
-    saved: &UlyssesSaved,
-    grad_o_heads: &[Mat],
-    scale: f32,
-    mask: &AttnMask,
-    cost: &CostModel,
-) -> Result<HeadGrads, UlyssesError> {
-    match try_ulysses_backward(
-        comm,
-        members,
-        member_idx,
-        saved,
-        grad_o_heads,
-        scale,
-        mask,
-        cost,
-    ) {
-        Ok(out) => Ok(out),
-        Err(DattnError::Infeasible(e)) => Err(e),
-        Err(DattnError::Comm(e)) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`ulysses_backward`]: communication failures carry
-/// `(Phase::Backward, k)` where `k` is the all-to-all index (0 = ∇O,
-/// 1 = ∇Q, 2 = ∇K, 3 = ∇V).
+///
+/// Communication failures carry `(Phase::Backward, k)` where `k` is the
+/// all-to-all index (0 = ∇O, 1 = ∇Q, 2 = ∇K, 3 = ∇V).
 #[allow(clippy::too_many_arguments)]
 pub fn try_ulysses_backward(
     comm: &mut Communicator,

@@ -19,8 +19,8 @@
 use crate::cost::CostModel;
 use crate::layout::Layout;
 use crate::ring::{
-    escalate_attn, try_ring_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs,
-    OverlapMode, Phase, Ring,
+    try_ring_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, OverlapMode,
+    Phase, Ring,
 };
 use crate::ulysses::{
     group_all_to_all, stash_entry, try_group_all_to_all, HeadGrads, UlyssesError,
@@ -103,7 +103,7 @@ impl UspTopo {
     }
 }
 
-/// State saved by [`usp_forward`] for the backward pass.
+/// State saved by [`try_usp_forward`] for the backward pass.
 pub struct UspSaved {
     q: Vec<Mat>,
     k: Vec<Mat>,
@@ -129,30 +129,9 @@ fn unbundle(bundle: &Mat, n: usize) -> Vec<Mat> {
 
 /// USP forward: intra-group all-to-all, zigzag ring attention per owned
 /// head across the ring group, reverse all-to-all.
-#[allow(clippy::too_many_arguments)]
-pub fn usp_forward(
-    comm: &mut Communicator,
-    topo: &UspTopo,
-    q_heads: &[Mat],
-    k_heads: &[Mat],
-    v_heads: &[Mat],
-    scale: f32,
-    mask: &AttnMask,
-    seq_len: usize,
-    cost: &CostModel,
-) -> Result<(Vec<Mat>, UspSaved), UlyssesError> {
-    match try_usp_forward(
-        comm, topo, q_heads, k_heads, v_heads, scale, mask, seq_len, cost,
-    ) {
-        Ok(out) => Ok(out),
-        Err(DattnError::Infeasible(e)) => Err(e),
-        Err(DattnError::Comm(e)) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`usp_forward`]: all-to-all failures carry `(Phase::Forward, k)`
-/// with `k` the all-to-all index; ring failures keep the ring's own
-/// phase/round annotation.
+///
+/// All-to-all failures carry `(Phase::Forward, k)` with `k` the all-to-all
+/// index; ring failures keep the ring's own phase/round annotation.
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_forward(
     comm: &mut Communicator,
@@ -299,27 +278,10 @@ pub fn rebuild_saved(
 /// USP backward: all-to-all of `∇O`, zigzag ring backward (Algorithm 1 with
 /// fine overlap — LoongTrain's implementation) per owned head, all-to-all of
 /// the input gradients back.
-#[allow(clippy::too_many_arguments)]
-pub fn usp_backward(
-    comm: &mut Communicator,
-    topo: &UspTopo,
-    saved: &UspSaved,
-    grad_o_heads: &[Mat],
-    scale: f32,
-    mask: &AttnMask,
-    seq_len: usize,
-    cost: &CostModel,
-) -> Result<HeadGrads, UlyssesError> {
-    match try_usp_backward(comm, topo, saved, grad_o_heads, scale, mask, seq_len, cost) {
-        Ok(out) => Ok(out),
-        Err(DattnError::Infeasible(e)) => Err(e),
-        Err(DattnError::Comm(e)) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`usp_backward`]: all-to-all failures carry
-/// `(Phase::Backward, k)` with `k` the all-to-all index (0 = ∇O, 1 = ∇Q,
-/// 2 = ∇K, 3 = ∇V); ring failures keep the ring's own annotation.
+///
+/// All-to-all failures carry `(Phase::Backward, k)` with `k` the all-to-all
+/// index (0 = ∇O, 1 = ∇Q, 2 = ∇K, 3 = ∇V); ring failures keep the ring's
+/// own annotation.
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_backward(
     comm: &mut Communicator,

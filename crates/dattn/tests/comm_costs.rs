@@ -11,8 +11,8 @@
 
 use burst_comm::{CommStats, Topology, World};
 use burst_dattn::{
-    burst_backward, ring_backward, ring_forward, run_attention, Algo, AttnShard, BackwardInputs,
-    CostModel, Layout, OverlapMode, Ring,
+    try_burst_backward, try_ring_backward, try_ring_forward, try_run_attention_opts, Algo,
+    AttnShard, BackwardInputs, CostModel, Layout, OverlapMode, Ring,
 };
 use burst_kernels::AttnMask;
 use burst_tensor::{randn_mat, Mat};
@@ -53,7 +53,7 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool, overlap: OverlapMode)
             skip: false,
         };
         let ring = Ring::global(comm);
-        let fwd = ring_forward(comm, &ring, &shard);
+        let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free run");
         let fwd_elems = comm.stats().total_elems();
         let back = BackwardInputs {
             o: &fwd.o,
@@ -61,9 +61,9 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool, overlap: OverlapMode)
             grad_o: &dol,
         };
         if burst {
-            burst_backward(comm, &ring, &shard, &back, overlap);
+            try_burst_backward(comm, &ring, &shard, &back, overlap).expect("fault-free run");
         } else {
-            ring_backward(comm, &ring, &shard, &back, overlap);
+            try_ring_backward(comm, &ring, &shard, &back, overlap).expect("fault-free run");
         }
         (fwd_elems, comm.stats().total_elems() - fwd_elems)
     });
@@ -127,7 +127,7 @@ fn run_algo_timed(algo: Algo, topo: Topology, n: usize, d: usize) -> (f64, CommS
     let (_, makespan, stats) = world.run_timed(|comm| {
         let layout = Layout::Zigzag;
         let idx = layout.indices(n, g, comm.rank());
-        run_attention(
+        try_run_attention_opts(
             algo,
             comm,
             &q.gather_rows(&idx),
@@ -139,7 +139,9 @@ fn run_algo_timed(algo: Algo, topo: Topology, n: usize, d: usize) -> (f64, CommS
             layout,
             n,
             &CostModel::free(),
-        );
+            false,
+        )
+        .expect("fault-free run");
     });
     (makespan, stats)
 }
@@ -205,13 +207,13 @@ fn fine_overlap_beats_no_overlap_in_virtual_time() {
                 skip: false,
             };
             let ring = Ring::global(comm);
-            let fwd = ring_forward(comm, &ring, &shard);
+            let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free run");
             let back = BackwardInputs {
                 o: &fwd.o,
                 lse: &fwd.lse,
                 grad_o: &grad_o.gather_rows(&idx),
             };
-            burst_backward(comm, &ring, &shard, &back, overlap);
+            try_burst_backward(comm, &ring, &shard, &back, overlap).expect("fault-free run");
         });
         makespan
     };

@@ -5,8 +5,8 @@
 
 use burst_comm::{Topology, World};
 use burst_dattn::{
-    burst_backward, double_ring, ring_backward, ring_forward, run_attention, Algo, AttnShard,
-    BackwardInputs, CostModel, Layout, OverlapMode, Ring,
+    double_ring, try_burst_backward, try_ring_backward, try_ring_forward, try_run_attention_opts,
+    Algo, AttnShard, BackwardInputs, CostModel, DoubleRingSpec, Layout, OverlapMode, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask, BlockSparseMask};
 use burst_tensor::testutil::assert_allclose;
@@ -57,7 +57,7 @@ fn check_algo(algo: Algo, topo: Topology, layout: Layout, mask: AttnMask, n: usi
         let kl = k.gather_rows(&idx);
         let vl = v.gather_rows(&idx);
         let dol = grad_o.gather_rows(&idx);
-        run_attention(
+        try_run_attention_opts(
             algo,
             comm,
             &ql,
@@ -69,7 +69,9 @@ fn check_algo(algo: Algo, topo: Topology, layout: Layout, mask: AttnMask, n: usi
             layout,
             n,
             &CostModel::free(),
+            false,
         )
+        .expect("fault-free run")
     });
     for (rank, (o, _lse, dq, dk, dv)) in outs.iter().enumerate() {
         let idx = layout.indices(n, g, rank);
@@ -226,16 +228,16 @@ fn overlap_modes_agree_numerically() {
                 skip: false,
             };
             let ring = Ring::global(comm);
-            let fwd = ring_forward(comm, &ring, &shard);
+            let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free run");
             let back = BackwardInputs {
                 o: &fwd.o,
                 lse: &fwd.lse,
                 grad_o: &dol,
             };
             if burst {
-                burst_backward(comm, &ring, &shard, &back, overlap)
+                try_burst_backward(comm, &ring, &shard, &back, overlap).expect("fault-free run")
             } else {
-                ring_backward(comm, &ring, &shard, &back, overlap)
+                try_ring_backward(comm, &ring, &shard, &back, overlap).expect("fault-free run")
             }
         })
     };
@@ -273,8 +275,10 @@ fn double_ring_forward_standalone_matches_flat_ring() {
             max_token: None,
             skip: false,
         };
-        let flat = ring_forward(comm, &Ring::global(comm), &shard);
-        let topo = double_ring::double_ring_forward(comm, &shard);
+        let flat = try_ring_forward(comm, &Ring::global(comm), &shard).expect("fault-free run");
+        let spec = DoubleRingSpec::full(comm.topology());
+        let topo =
+            double_ring::try_double_ring_forward(comm, &shard, &spec).expect("fault-free run");
         (flat.o, topo.o, flat.lse, topo.lse)
     });
     for (rank, (fo, to, flse, tlse)) in outs.iter().enumerate() {

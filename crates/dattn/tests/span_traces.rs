@@ -15,7 +15,8 @@
 use burst_comm::obs::{self, SpanKind};
 use burst_comm::{FaultPlan, Membership, RetryPolicy, Topology, World};
 use burst_dattn::{
-    run_attention, try_elastic_attention, try_run_attention, Algo, CostModel, Layout, ShardData,
+    try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, ElasticOpts, Layout,
+    ShardData,
 };
 use burst_kernels::AttnMask;
 use burst_tensor::{randn_mat, Mat};
@@ -59,7 +60,7 @@ fn all_algorithms_emit_valid_nested_traces() {
                 shard_of(layout, n, g, r, &grad_o),
             );
             comm.start_trace();
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &ql,
@@ -71,7 +72,9 @@ fn all_algorithms_emit_valid_nested_traces() {
                 layout,
                 n,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free run");
         });
         for o in outs {
             let t = o.trace.expect("tracing was on");
@@ -118,7 +121,7 @@ fn tracing_is_bit_identical() {
                 if trace {
                     comm.start_trace();
                 }
-                run_attention(
+                try_run_attention_opts(
                     algo,
                     comm,
                     &ql,
@@ -130,7 +133,9 @@ fn tracing_is_bit_identical() {
                     layout,
                     n,
                     &CostModel::a800(),
+                    false,
                 )
+                .expect("fault-free run")
             })
         };
         let plain = run(false);
@@ -165,7 +170,7 @@ fn steady_state_rounds_allocate_no_trace_memory() {
         );
         comm.start_trace();
         let go = |comm: &mut burst_comm::Communicator| {
-            run_attention(
+            try_run_attention_opts(
                 Algo::BurstTopo,
                 comm,
                 &ql,
@@ -177,7 +182,9 @@ fn steady_state_rounds_allocate_no_trace_memory() {
                 layout,
                 n,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free run");
         };
         // Warm-up pass, then assert the sink's buffer never moves or grows
         // across three more full fwd+bwd passes.
@@ -211,7 +218,7 @@ fn crash_force_closes_open_spans_with_warnings() {
             shard_of(layout, n, g, r, &grad_o),
         );
         comm.start_trace();
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstTopo,
             comm,
             &ql,
@@ -223,6 +230,7 @@ fn crash_force_closes_open_spans_with_warnings() {
             layout,
             n,
             &CostModel::a800(),
+            false,
         )
         .map(|_| ())
     });
@@ -266,7 +274,7 @@ fn elastic_replay_and_eviction_are_traced() {
                 shard_of(layout, n, g, rank, &grad_o),
             )
         };
-        try_elastic_attention(
+        try_elastic_attention_opts(
             comm,
             &mut membership,
             &ql,
@@ -280,6 +288,7 @@ fn elastic_replay_and_eviction_are_traced() {
             &CostModel::a800(),
             &mut load,
             &RetryPolicy::default(),
+            ElasticOpts::default(),
         )
         .map(|out| out.attempts)
     });

@@ -4,7 +4,7 @@
 //! the flat ring.
 
 use burst_comm::{summarize, Topology, TraceEvent, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_tensor::randn_mat;
 
@@ -25,7 +25,7 @@ fn traced_run(algo: Algo) -> Vec<(Vec<TraceEvent>, f64)> {
     world.run_results(move |comm| {
         comm.start_trace();
         let idx = Layout::Zigzag.indices(n, g, comm.rank());
-        run_attention(
+        try_run_attention_opts(
             algo,
             comm,
             &q.gather_rows(&idx),
@@ -37,7 +37,9 @@ fn traced_run(algo: Algo) -> Vec<(Vec<TraceEvent>, f64)> {
             Layout::Zigzag,
             n,
             &cost,
-        );
+            false,
+        )
+        .expect("fault-free run");
         (comm.take_trace(), comm.time())
     })
 }

@@ -18,12 +18,11 @@
 use crate::linear::{Linear, LinearSaved};
 use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
 use burst_comm::{CommError, Communicator, SpanKind};
-use burst_dattn::ulysses::{ulysses_backward, ulysses_forward};
-use burst_dattn::usp::{usp_backward, usp_forward, UspTopo};
+use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
-    burst_backward, double_ring, ring_backward, ring_forward, try_burst_backward,
-    try_ring_backward, try_ring_forward, Algo, AttnFailure, AttnShard, BackwardInputs, CostModel,
-    DoubleRingSpec, Layout, OverlapMode, Ring,
+    escalate_attn, Algo, AttnFailure, AttnShard, BackwardInputs, CostModel, DattnError, Layout,
+    OverlapMode, RingSchedule,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
@@ -204,6 +203,127 @@ impl AttnExec for LocalExec {
     }
 }
 
+/// What a ring-family executor does with a head whose pass failed.
+enum OnFailure<'e> {
+    /// Escalate through [`escalate_attn`]: the infallible [`AttnExec`]
+    /// contract of [`DistExec`].
+    Escalate,
+    /// Latch the first fault into the slot ([`ElasticExec`]); the failed
+    /// head and every later one yield zeros without touching the wire.
+    Latch(&'e mut Option<CommError>),
+}
+
+/// One ring-family [`AttnExec`] call: the per-head loop [`DistExec`] and
+/// [`ElasticExec`] share. They differ only in their member set and in
+/// what they do with a failure.
+struct RingHeads<'e> {
+    comm: &'e mut Communicator,
+    schedule: RingSchedule,
+    mask: &'e AttnMask,
+    layout: Layout,
+    seq_len: usize,
+    cost: CostModel,
+    overlap: OverlapMode,
+    skip: bool,
+    on_failure: OnFailure<'e>,
+}
+
+impl<'e> RingHeads<'e> {
+    fn shard<'s>(&self, q: &'s Mat, k: &'s Mat, v: &'s Mat, cutoff: Option<usize>) -> AttnShard<'s>
+    where
+        'e: 's,
+    {
+        AttnShard {
+            q,
+            k,
+            v,
+            scale: head_scale(q),
+            mask: self.mask,
+            layout: self.layout,
+            seq_len: self.seq_len,
+            cost: self.cost,
+            max_token: cutoff,
+            skip: self.skip,
+        }
+    }
+
+    /// Run one head's pass, unless a latched failure already stopped the
+    /// call. `None` when the head yields zeros.
+    fn head<T>(
+        &mut self,
+        pass: impl FnOnce(&mut Communicator, &RingSchedule) -> Result<T, AttnFailure>,
+    ) -> Option<T> {
+        if matches!(&self.on_failure, OnFailure::Latch(slot) if slot.is_some()) {
+            return None;
+        }
+        match pass(self.comm, &self.schedule) {
+            Ok(out) => Some(out),
+            Err(e) => {
+                match &mut self.on_failure {
+                    OnFailure::Escalate => escalate_attn(self.comm, e),
+                    OnFailure::Latch(slot) => **slot = Some(e.source),
+                }
+                None
+            }
+        }
+    }
+
+    fn forward(mut self, q: &[Mat], k: &[Mat], v: &[Mat], cutoff: Option<usize>) -> AttnOut {
+        let mut o = Vec::with_capacity(q.len());
+        let mut lse = Vec::with_capacity(q.len());
+        for h in 0..q.len() {
+            let shard = self.shard(&q[h], &k[h], &v[h], cutoff);
+            match self.head(|comm, schedule| schedule.try_forward(comm, &shard)) {
+                Some(out) => {
+                    o.push(out.o);
+                    lse.push(out.lse);
+                }
+                None => {
+                    o.push(Mat::zeros(q[h].rows(), v[h].cols()));
+                    lse.push(vec![0.0; q[h].rows()]);
+                }
+            }
+        }
+        (o, lse)
+    }
+
+    fn backward(
+        mut self,
+        q: &[Mat],
+        k: &[Mat],
+        v: &[Mat],
+        o: &[Mat],
+        lse: &[Vec<f32>],
+        grad_o: &[Mat],
+    ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
+        let mut dq = Vec::with_capacity(q.len());
+        let mut dk = Vec::with_capacity(q.len());
+        let mut dv = Vec::with_capacity(q.len());
+        let overlap = self.overlap;
+        for h in 0..q.len() {
+            let shard = self.shard(&q[h], &k[h], &v[h], None);
+            let back = BackwardInputs {
+                o: &o[h],
+                lse: &lse[h],
+                grad_o: &grad_o[h],
+            };
+            match self.head(|comm, schedule| schedule.try_backward(comm, &shard, &back, overlap)) {
+                Some((a, b, c)) => {
+                    dq.push(a);
+                    dk.push(b);
+                    dv.push(c);
+                }
+                None => {
+                    dq.push(Mat::zeros(q[h].rows(), q[h].cols()));
+                    dk.push(Mat::zeros(k[h].rows(), k[h].cols()));
+                    dv.push(Mat::zeros(v[h].rows(), v[h].cols()));
+                }
+            }
+        }
+        (dq, dk, dv)
+    }
+}
+
 /// Ring-family context parallelism on the simulated cluster.
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
@@ -243,42 +363,25 @@ impl<'a> DistExec<'a> {
         }
     }
 
-    fn fwd_one(&mut self, q: &Mat, k: &Mat, v: &Mat, cutoff: Option<usize>) -> (Mat, Vec<f32>) {
-        let shard = AttnShard {
-            q,
-            k,
-            v,
-            scale: head_scale(q),
+    fn heads(&mut self) -> RingHeads<'_> {
+        let members: Vec<usize> = (0..self.comm.world_size()).collect();
+        RingHeads {
+            schedule: RingSchedule::new(self.comm, self.algo, &members),
+            comm: self.comm,
             mask: &self.mask,
             layout: self.layout,
             seq_len: self.seq_len,
             cost: self.cost,
-            max_token: cutoff,
+            overlap: self.overlap,
             skip: self.skip,
-        };
-        let out = match self.algo {
-            Algo::RingFlat | Algo::BurstFlat => {
-                let ring = Ring::global(self.comm);
-                ring_forward(self.comm, &ring, &shard)
-            }
-            Algo::DoubleRing | Algo::BurstTopo => {
-                double_ring::double_ring_forward(self.comm, &shard)
-            }
-        };
-        (out.o, out.lse)
+            on_failure: OnFailure::Escalate,
+        }
     }
 }
 
 impl AttnExec for DistExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            let (oh, lh) = self.fwd_one(&q[h], &k[h], &v[h], None);
-            o.push(oh);
-            lse.push(lh);
-        }
-        (o, lse)
+        self.heads().forward(q, k, v, None)
     }
 
     fn backward(
@@ -290,46 +393,7 @@ impl AttnExec for DistExec<'_> {
         lse: &[Vec<f32>],
         grad_o: &[Mat],
     ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let mut dq = Vec::with_capacity(q.len());
-        let mut dk = Vec::with_capacity(q.len());
-        let mut dv = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            let shard = AttnShard {
-                q: &q[h],
-                k: &k[h],
-                v: &v[h],
-                scale: head_scale(&q[h]),
-                mask: &self.mask,
-                layout: self.layout,
-                seq_len: self.seq_len,
-                cost: self.cost,
-                max_token: None,
-                skip: self.skip,
-            };
-            let back = BackwardInputs {
-                o: &o[h],
-                lse: &lse[h],
-                grad_o: &grad_o[h],
-            };
-            let (a, b, c) = match self.algo {
-                Algo::RingFlat => {
-                    let ring = Ring::global(self.comm);
-                    ring_backward(self.comm, &ring, &shard, &back, self.overlap)
-                }
-                Algo::BurstFlat => {
-                    let ring = Ring::global(self.comm);
-                    burst_backward(self.comm, &ring, &shard, &back, self.overlap)
-                }
-                Algo::DoubleRing => {
-                    double_ring::double_ring_backward_alg1(self.comm, &shard, &back)
-                }
-                Algo::BurstTopo => double_ring::double_ring_backward_alg2(self.comm, &shard, &back),
-            };
-            dq.push(a);
-            dk.push(b);
-            dv.push(c);
-        }
-        (dq, dk, dv)
+        self.heads().backward(q, k, v, o, lse, grad_o)
     }
 
     fn forward_partial(
@@ -339,14 +403,7 @@ impl AttnExec for DistExec<'_> {
         v: &[Mat],
         cutoff: usize,
     ) -> Option<AttnOut> {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            let (oh, lh) = self.fwd_one(&q[h], &k[h], &v[h], Some(cutoff));
-            o.push(oh);
-            lse.push(lh);
-        }
-        Some((o, lse))
+        Some(self.heads().forward(q, k, v, Some(cutoff)))
     }
 
     fn local_indices(&self) -> Vec<usize> {
@@ -397,8 +454,9 @@ impl AttnExec for DistExec<'_> {
 /// Bit-identity: the ring is the ascending alive set with this rank at its
 /// membership position, so a `g'`-member step reproduces a fresh `g'`-world
 /// step bit-for-bit. Topology-aware algorithms run on a
-/// [`DoubleRingSpec`] when the survivors preserve node balance and fall
-/// back to the flat ring (counted) when they are ragged.
+/// [`DoubleRingSpec`](burst_dattn::DoubleRingSpec) when the survivors
+/// preserve node balance and fall back to the flat ring (counted) when they
+/// are ragged.
 pub struct ElasticExec<'a> {
     pub comm: &'a mut Communicator,
     /// Alive ranks in ascending order (the elastic ring).
@@ -413,9 +471,6 @@ pub struct ElasticExec<'a> {
     pub overlap: OverlapMode,
     /// Mask-aware round skipping on the elastic ring (off by default).
     pub skip: bool,
-    /// Two-level geometry over the alive set (topology-aware algorithms
-    /// with node-balanced survivors only).
-    spec: Option<DoubleRingSpec>,
     /// A topology-aware algorithm had to run on the flat ring because the
     /// survivor pattern is ragged across nodes.
     flat_fallback: bool,
@@ -438,13 +493,7 @@ impl<'a> ElasticExec<'a> {
             .iter()
             .position(|&m| m == comm.rank())
             .expect("ElasticExec: calling rank not in member list");
-        let topo_algo = matches!(algo, Algo::DoubleRing | Algo::BurstTopo);
-        let spec = if topo_algo {
-            DoubleRingSpec::from_members(comm.topology(), &members)
-        } else {
-            None
-        };
-        let flat_fallback = topo_algo && spec.is_none();
+        let flat_fallback = RingSchedule::new(comm, algo, &members).flat_fallback();
         ElasticExec {
             comm,
             members,
@@ -456,7 +505,6 @@ impl<'a> ElasticExec<'a> {
             cost,
             overlap: OverlapMode::Fine,
             skip: false,
-            spec,
             flat_fallback,
             failure: None,
         }
@@ -478,68 +526,24 @@ impl<'a> ElasticExec<'a> {
         &self.members
     }
 
-    fn ring(&self) -> Ring {
-        Ring {
-            members: self.members.clone(),
-            pos: self.pos,
-        }
-    }
-
-    fn latch(&mut self, e: AttnFailure) {
-        if self.failure.is_none() {
-            self.failure = Some(e.source);
-        }
-    }
-
-    fn fwd_one(
-        &mut self,
-        q: &Mat,
-        k: &Mat,
-        v: &Mat,
-        cutoff: Option<usize>,
-    ) -> Result<(Mat, Vec<f32>), AttnFailure> {
-        let shard = AttnShard {
-            q,
-            k,
-            v,
-            scale: head_scale(q),
+    fn heads(&mut self) -> RingHeads<'_> {
+        RingHeads {
+            schedule: RingSchedule::new(self.comm, self.algo, &self.members),
+            comm: self.comm,
             mask: &self.mask,
             layout: self.layout,
             seq_len: self.seq_len,
             cost: self.cost,
-            max_token: cutoff,
+            overlap: self.overlap,
             skip: self.skip,
-        };
-        let out = match &self.spec {
-            Some(spec) => double_ring::try_double_ring_forward_on(self.comm, &shard, spec)?,
-            None => {
-                let ring = self.ring();
-                try_ring_forward(self.comm, &ring, &shard)?
-            }
-        };
-        Ok((out.o, out.lse))
+            on_failure: OnFailure::Latch(&mut self.failure),
+        }
     }
 }
 
 impl AttnExec for ElasticExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            if self.failure.is_none() {
-                match self.fwd_one(&q[h], &k[h], &v[h], None) {
-                    Ok((oh, lh)) => {
-                        o.push(oh);
-                        lse.push(lh);
-                        continue;
-                    }
-                    Err(e) => self.latch(e),
-                }
-            }
-            o.push(Mat::zeros(q[h].rows(), v[h].cols()));
-            lse.push(vec![0.0; q[h].rows()]);
-        }
-        (o, lse)
+        self.heads().forward(q, k, v, None)
     }
 
     fn backward(
@@ -551,61 +555,7 @@ impl AttnExec for ElasticExec<'_> {
         lse: &[Vec<f32>],
         grad_o: &[Mat],
     ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let mut dq = Vec::with_capacity(q.len());
-        let mut dk = Vec::with_capacity(q.len());
-        let mut dv = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            if self.failure.is_none() {
-                let shard = AttnShard {
-                    q: &q[h],
-                    k: &k[h],
-                    v: &v[h],
-                    scale: head_scale(&q[h]),
-                    mask: &self.mask,
-                    layout: self.layout,
-                    seq_len: self.seq_len,
-                    cost: self.cost,
-                    max_token: None,
-                    skip: self.skip,
-                };
-                let back = BackwardInputs {
-                    o: &o[h],
-                    lse: &lse[h],
-                    grad_o: &grad_o[h],
-                };
-                let res = match (&self.spec, self.algo) {
-                    (Some(spec), Algo::DoubleRing) => {
-                        double_ring::try_double_ring_backward_alg1_on(
-                            self.comm, &shard, &back, spec,
-                        )
-                    }
-                    (Some(spec), _) => double_ring::try_double_ring_backward_alg2_on(
-                        self.comm, &shard, &back, spec,
-                    ),
-                    (None, Algo::RingFlat | Algo::DoubleRing) => {
-                        let ring = self.ring();
-                        try_ring_backward(self.comm, &ring, &shard, &back, self.overlap)
-                    }
-                    (None, Algo::BurstFlat | Algo::BurstTopo) => {
-                        let ring = self.ring();
-                        try_burst_backward(self.comm, &ring, &shard, &back, self.overlap)
-                    }
-                };
-                match res {
-                    Ok((a, b, c)) => {
-                        dq.push(a);
-                        dk.push(b);
-                        dv.push(c);
-                        continue;
-                    }
-                    Err(e) => self.latch(e),
-                }
-            }
-            dq.push(Mat::zeros(q[h].rows(), q[h].cols()));
-            dk.push(Mat::zeros(k[h].rows(), k[h].cols()));
-            dv.push(Mat::zeros(v[h].rows(), v[h].cols()));
-        }
-        (dq, dk, dv)
+        self.heads().backward(q, k, v, o, lse, grad_o)
     }
 
     fn forward_partial(
@@ -615,23 +565,7 @@ impl AttnExec for ElasticExec<'_> {
         v: &[Mat],
         cutoff: usize,
     ) -> Option<AttnOut> {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            if self.failure.is_none() {
-                match self.fwd_one(&q[h], &k[h], &v[h], Some(cutoff)) {
-                    Ok((oh, lh)) => {
-                        o.push(oh);
-                        lse.push(lh);
-                        continue;
-                    }
-                    Err(e) => self.latch(e),
-                }
-            }
-            o.push(Mat::zeros(q[h].rows(), v[h].cols()));
-            lse.push(vec![0.0; q[h].rows()]);
-        }
-        Some((o, lse))
+        Some(self.heads().forward(q, k, v, Some(cutoff)))
     }
 
     fn local_indices(&self) -> Vec<usize> {
@@ -668,6 +602,17 @@ impl AttnExec for ElasticExec<'_> {
     }
 }
 
+/// The infallible [`AttnExec`] contract for the Ulysses-family passes: a
+/// communication fault escalates through [`escalate_attn`]; an infeasible
+/// head/group geometry panics with `what`.
+fn settle<T>(comm: &Communicator, out: Result<T, DattnError>, what: &str) -> T {
+    match out {
+        Ok(out) => out,
+        Err(DattnError::Comm(e)) => escalate_attn(comm, e),
+        Err(DattnError::Infeasible(e)) => panic!("{what}: {e:?}"),
+    }
+}
+
 /// DeepSpeed-Ulysses backend (global group, contiguous sequence chunks).
 pub struct UlyssesExec<'a> {
     pub comm: &'a mut Communicator,
@@ -694,10 +639,14 @@ impl AttnExec for UlyssesExec<'_> {
         let members = self.members();
         let idx = self.member_idx();
         let scale = head_scale(&q[0]);
-        let (o, _saved) = ulysses_forward(
+        let out = try_ulysses_forward(
             self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
-        )
-        .expect("Ulysses infeasible for this head/rank combination");
+        );
+        let (o, _saved) = settle(
+            self.comm,
+            out,
+            "Ulysses infeasible for this head/rank combination",
+        );
         // Ulysses' Lse lives head-sharded on the owning rank; `backward`
         // rebuilds everything it needs from (q, k, v) — the recompute that
         // gradient checkpointing (the paper's evaluation setting) implies —
@@ -723,17 +672,16 @@ impl AttnExec for UlyssesExec<'_> {
         // Rebuild the head-sharded state (including a fresh forward for the
         // Lse — Ulysses under gradient checkpointing recomputes attention).
         self.comm.recompute_scope(true);
-        let saved = ulysses_forward(
+        let saved = try_ulysses_forward(
             self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
         )
         .map(|(_, s)| s);
         self.comm.recompute_scope(false);
-        let saved = saved.expect("Ulysses infeasible");
-        let (dq, dk, dv) = ulysses_backward(
+        let saved = settle(self.comm, saved, "Ulysses infeasible");
+        let grads = try_ulysses_backward(
             self.comm, &members, &idx, &saved, grad_o, scale, &self.mask, &self.cost,
-        )
-        .expect("Ulysses infeasible");
-        (dq, dk, dv)
+        );
+        settle(self.comm, grads, "Ulysses infeasible")
     }
 
     fn local_indices(&self) -> Vec<usize> {
@@ -785,7 +733,7 @@ impl AttnExec for UspExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
         let topo = UspTopo::new(self.comm, self.ulysses_size).with_skip(self.skip);
         let scale = head_scale(&q[0]);
-        let (o, saved) = usp_forward(
+        let out = try_usp_forward(
             self.comm,
             &topo,
             q,
@@ -795,9 +743,12 @@ impl AttnExec for UspExec<'_> {
             &self.mask,
             self.seq_len,
             &self.cost,
-        )
-        .expect("USP infeasible for this head/group combination");
-        let _ = saved;
+        );
+        let (o, _saved) = settle(
+            self.comm,
+            out,
+            "USP infeasible for this head/group combination",
+        );
         let rows = o[0].rows();
         let lse = vec![vec![f32::NAN; rows]; q.len()];
         (o, lse)
@@ -816,7 +767,7 @@ impl AttnExec for UspExec<'_> {
         let scale = head_scale(&q[0]);
         let _ = o;
         self.comm.recompute_scope(true);
-        let saved = usp_forward(
+        let saved = try_usp_forward(
             self.comm,
             &topo,
             q,
@@ -829,8 +780,8 @@ impl AttnExec for UspExec<'_> {
         )
         .map(|(_, s)| s);
         self.comm.recompute_scope(false);
-        let saved = saved.expect("USP infeasible");
-        let (dq, dk, dv) = usp_backward(
+        let saved = settle(self.comm, saved, "USP infeasible");
+        let grads = try_usp_backward(
             self.comm,
             &topo,
             &saved,
@@ -839,9 +790,8 @@ impl AttnExec for UspExec<'_> {
             &self.mask,
             self.seq_len,
             &self.cost,
-        )
-        .expect("USP infeasible");
-        (dq, dk, dv)
+        );
+        settle(self.comm, grads, "USP infeasible")
     }
 
     fn local_indices(&self) -> Vec<usize> {

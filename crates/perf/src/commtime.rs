@@ -398,36 +398,6 @@ impl RetransCensus {
     }
 }
 
-/// The exact-census counterpart of [`layer_comm_times`]: total wire
-/// occupancy per method for one layer, summed over all ranks, at the
-/// default f32 wire.
-pub fn exact_comm_times(cluster: &Cluster, seq_len: usize, d_model: usize) -> CommTimes {
-    exact_comm_times_dtype(cluster, seq_len, d_model, WireDtype::F32)
-}
-
-/// [`exact_comm_times`] at an explicit matrix wire dtype.
-pub fn exact_comm_times_dtype(
-    cluster: &Cluster,
-    seq_len: usize,
-    d_model: usize,
-    dtype: WireDtype,
-) -> CommTimes {
-    CommTimes {
-        ring: exact_wire_counts_dtype(cluster, seq_len, d_model, RingMethod::Ring, dtype)
-            .secs(cluster),
-        double_ring: exact_wire_counts_dtype(
-            cluster,
-            seq_len,
-            d_model,
-            RingMethod::DoubleRing,
-            dtype,
-        )
-        .secs(cluster),
-        burst: exact_wire_counts_dtype(cluster, seq_len, d_model, RingMethod::Burst, dtype)
-            .secs(cluster),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,8 +513,7 @@ mod tests {
         let burst = exact_wire_counts(&c, 1 << 16, 128, RingMethod::Burst);
         assert!(burst.bytes() < double.bytes());
         assert!(burst.bytes() < ring.bytes());
-        let t = exact_comm_times(&c, 1 << 16, 128);
-        assert!(t.burst < t.double_ring);
+        assert!(burst.secs(&c) < double.secs(&c));
     }
 
     #[test]

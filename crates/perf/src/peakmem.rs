@@ -22,9 +22,9 @@ use burst_dattn::{Layout, RingGeom, SkipPlan};
 use burst_kernels::AttnMask;
 
 /// Which distributed-attention schedule to predict. The first four mirror
-/// `burst_dattn::Algo` (driven through `try_run_attention`); the last three
-/// cover the head-parallel baselines and the elastic wrapper's healthy
-/// (full-membership, flat-ring) path.
+/// `burst_dattn::Algo` (driven through `try_run_attention_opts`); the last
+/// three cover the head-parallel baselines and the elastic wrapper's
+/// healthy (full-membership, flat-ring) path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeakMethod {
     /// RingAttention on the flat ring (Algorithm 1 backward, fine overlap).
@@ -41,7 +41,7 @@ pub enum PeakMethod {
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
     /// `world / ulysses`.
     Usp { heads: usize, ulysses: usize },
-    /// `try_elastic_attention` on a fault-free full world: local-shard
+    /// `try_elastic_attention_opts` on a fault-free full world: local-shard
     /// checkpoint stash + flat ring forward + Algorithm 2 backward.
     ElasticHealthy,
 }

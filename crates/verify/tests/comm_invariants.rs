@@ -10,7 +10,7 @@
 //! * the virtual clock is monotone through any sequence of collectives.
 
 use burst_comm::{Topology, WireDtype, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_perf::commtime::{exact_wire_counts, exact_wire_counts_dtype, RingMethod};
 use burst_perf::machine::Cluster;
@@ -161,7 +161,7 @@ fn measured_wire_traffic_equals_exact_census() {
                 let world = World::new(topo.clone());
                 let outs = world.run(move |comm| {
                     let idx = Layout::Zigzag.indices(seq, g, comm.rank());
-                    run_attention(
+                    try_run_attention_opts(
                         algo,
                         comm,
                         &q.gather_rows(&idx),
@@ -173,7 +173,9 @@ fn measured_wire_traffic_equals_exact_census() {
                         Layout::Zigzag,
                         seq,
                         &CostModel::free(),
-                    );
+                        false,
+                    )
+                    .expect("fault-free run");
                 });
                 let mut intra_msgs = 0u64;
                 let mut inter_msgs = 0u64;

@@ -35,7 +35,7 @@ fn main() {
         let outs = world.run_results(|comm| {
             comm.start_trace();
             let idx = Layout::Zigzag.indices(n, g, comm.rank());
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &q.gather_rows(&idx),
@@ -47,7 +47,9 @@ fn main() {
                 Layout::Zigzag,
                 n,
                 &cost,
-            );
+                false,
+            )
+            .expect("fault-free run");
             (comm.take_trace(), comm.time())
         });
         let t_end = outs.iter().map(|(_, t)| *t).fold(0.0, f64::max);

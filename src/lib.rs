@@ -38,7 +38,7 @@
 //! let world = World::new(Topology::a800(2, 2));
 //! let outs = world.run_results(|comm| {
 //!     let idx = Layout::Zigzag.indices(n, 4, comm.rank());
-//!     run_attention(
+//!     try_run_attention_opts(
 //!         Algo::BurstTopo,
 //!         comm,
 //!         &q.gather_rows(&idx),
@@ -50,7 +50,9 @@
 //!         Layout::Zigzag,
 //!         n,
 //!         &CostModel::a800(),
+//!         false,
 //!     )
+//!     .expect("fault-free run")
 //! });
 //! assert_eq!(outs.len(), 4);
 //! ```
@@ -70,9 +72,9 @@ pub mod prelude {
         Membership, RetryPolicy, Topology, TransportPolicy, World,
     };
     pub use burst_dattn::{
-        run_attention, try_elastic_attention, try_elastic_attention_opts, try_run_attention, Algo,
-        AttnFailure, AttnShard, CostModel, DattnError, DoubleRingSpec, ElasticAttnOut, ElasticOpts,
-        Layout, OverlapMode, Phase, Ring,
+        try_elastic_attention_opts, try_run_attention_opts, Algo, AttnFailure, AttnShard,
+        CostModel, DattnError, DoubleRingSpec, ElasticAttnOut, ElasticOpts, Layout, OverlapMode,
+        Phase, Ring,
     };
     pub use burst_kernels::{
         flash_backward, flash_forward, fused_lm_loss, AttnMask, BlockSparseMask, OnlineState,

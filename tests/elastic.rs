@@ -87,7 +87,7 @@ fn elastic_run(
                 loaded.push(r);
                 shard_of(orig_world, r)
             };
-            try_elastic_attention(
+            try_elastic_attention_opts(
                 comm,
                 &mut m,
                 &q,
@@ -101,6 +101,7 @@ fn elastic_run(
                 &CostModel::free(),
                 &mut load,
                 &policy,
+                ElasticOpts::default(),
             )?
         };
         Ok((out, loaded))
@@ -408,16 +409,18 @@ fn fresh_double_ring_world(nodes: usize, gpn: usize) -> Vec<(Mat, Vec<f32>, Mat,
             max_token: None,
             skip: false,
         };
-        let fwd = burstengine::dattn::double_ring::try_double_ring_forward(comm, &shard)
+        let spec = DoubleRingSpec::full(comm.topology());
+        let fwd = burstengine::dattn::double_ring::try_double_ring_forward(comm, &shard, &spec)
             .expect("clean double-ring forward");
         let back = BackwardInputs {
             o: &fwd.o,
             lse: &fwd.lse,
             grad_o: &go,
         };
-        let (dq, dk, dv) =
-            burstengine::dattn::double_ring::try_double_ring_backward_alg2(comm, &shard, &back)
-                .expect("clean double-ring backward");
+        let (dq, dk, dv) = burstengine::dattn::double_ring::try_double_ring_backward_alg2(
+            comm, &shard, &back, &spec,
+        )
+        .expect("clean double-ring backward");
         (fwd.o, fwd.lse, dq, dk, dv)
     })
 }

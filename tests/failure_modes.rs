@@ -123,7 +123,7 @@ fn attention_rejects_inconsistent_shard_shapes() {
         let k = randn_mat(n / 2 + 1, 4, 1.0, 2);
         let v = randn_mat(n / 2 + 1, 4, 1.0, 3);
         let go = randn_mat(n / 2, 4, 1.0, 4);
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstFlat,
             comm,
             &q,
@@ -135,6 +135,7 @@ fn attention_rejects_inconsistent_shard_shapes() {
             Layout::Contiguous,
             n,
             &CostModel::free(),
+            false,
         )
     });
     for out in &outs {
@@ -158,13 +159,13 @@ fn attention_rejects_inconsistent_shard_shapes() {
 
 #[test]
 fn ulysses_error_is_typed_not_a_panic() {
-    use burstengine::dattn::ulysses::{ulysses_forward, UlyssesError};
+    use burstengine::dattn::ulysses::{try_ulysses_forward, UlyssesError};
     let world = World::new(Topology::single_node(2));
     let outs = world.run_results(|comm| {
         let members = vec![0usize, 1];
         let idx = vec![vec![0usize, 1], vec![2usize, 3]];
         let heads: Vec<Mat> = (0..3).map(|h| randn_mat(2, 4, 1.0, h)).collect();
-        ulysses_forward(
+        match try_ulysses_forward(
             comm,
             &members,
             &idx,
@@ -174,8 +175,10 @@ fn ulysses_error_is_typed_not_a_panic() {
             0.5,
             &AttnMask::Causal,
             &CostModel::free(),
-        )
-        .err()
+        ) {
+            Err(DattnError::Infeasible(e)) => Some(e),
+            _ => None,
+        }
     });
     for e in outs {
         assert_eq!(
@@ -313,7 +316,7 @@ fn crash_mid_ring_attention_names_rank_and_round() {
     let go = randn_mat(n, d, 0.8, 4);
     let outs = world.run_faulty::<_, AttnFailure, _>(|comm| {
         let idx = Layout::Zigzag.indices(n, g, comm.rank());
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstFlat,
             comm,
             &q.gather_rows(&idx),
@@ -325,6 +328,7 @@ fn crash_mid_ring_attention_names_rank_and_round() {
             Layout::Zigzag,
             n,
             &CostModel::free(),
+            false,
         )
     });
     for out in &outs {
