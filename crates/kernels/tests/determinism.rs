@@ -14,7 +14,7 @@
 
 use burst_kernels::{attn_tile_backward, flash_forward, fused_lm_loss, AttnMask, BlockSparseMask};
 use burst_tensor::randn_mat;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -115,6 +115,83 @@ fn parallel_kernels_bit_identical_across_thread_counts() {
         assert_bits_eq(&out.lse, &reference.lse, &tag);
         assert_bits_eq(out.grad_h.as_slice(), reference.grad_h.as_slice(), &tag);
         assert_bits_eq(out.grad_w.as_slice(), reference.grad_w.as_slice(), &tag);
+    }
+
+    concurrent_callers_match_serial();
+}
+
+/// The benchmark's traffic: every simulated rank thread calls the parallel
+/// kernels at once, so their joins share one pool. Eight concurrent callers
+/// at the `fsdp_state` LM-head shape, a 512 × 512 causal attention tile and
+/// a 512-row product must each reproduce the serial result bit for bit.
+fn concurrent_callers_match_serial() {
+    const CALLERS: usize = 8;
+    let (n, d) = (512usize, 16usize);
+    let q = randn_mat(n, d, 0.6, 31);
+    let k = randn_mat(n, d, 0.6, 32);
+    let v = randn_mat(n, d, 0.6, 33);
+    let grad_o = randn_mat(n, d, 0.4, 34);
+    let idx: Vec<usize> = (0..n).collect();
+    let scale = 1.0 / (d as f32).sqrt();
+    let (rows, vocab, dm) = (32usize, 8192usize, 256usize);
+    let h = randn_mat(rows, dm, 0.7, 35);
+    let w = randn_mat(vocab, dm, 0.7, 36);
+    let y: Vec<usize> = (0..rows).map(|i| (i * 2731) % vocab).collect();
+    let a = randn_mat(512, dm, 0.5, 37);
+    let b = randn_mat(dm, dm, 0.5, 38);
+
+    let run_all = || {
+        let fwd = flash_forward(&q, &k, &v, scale, &AttnMask::Causal, &idx, &idx);
+        let d_vec = grad_o.rowsum_hadamard(&fwd.o);
+        let (dq, dk, dv, _) = attn_tile_backward(
+            &q,
+            &k,
+            &v,
+            &grad_o,
+            &fwd.lse,
+            &d_vec,
+            scale,
+            &AttnMask::Causal,
+            &idx,
+            &idx,
+        );
+        (fwd, dq, dk, dv, fused_lm_loss(&h, &w, &y), a.matmul_nt(&b))
+    };
+    let reference = with_threads(1, run_all);
+    let outs = with_threads(CALLERS, || {
+        let start = Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        run_all()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller thread panicked"))
+                .collect::<Vec<_>>()
+        })
+    });
+    for (c, out) in outs.iter().enumerate() {
+        let tag = format!("concurrent/caller{c}");
+        assert_bits_eq(out.0.o.as_slice(), reference.0.o.as_slice(), &tag);
+        assert_bits_eq(&out.0.lse, &reference.0.lse, &tag);
+        assert_bits_eq(out.1.as_slice(), reference.1.as_slice(), &tag);
+        assert_bits_eq(out.2.as_slice(), reference.2.as_slice(), &tag);
+        assert_bits_eq(out.3.as_slice(), reference.3.as_slice(), &tag);
+        assert_eq!(
+            out.4.loss.to_bits(),
+            reference.4.loss.to_bits(),
+            "{tag}: loss"
+        );
+        assert_bits_eq(&out.4.losses, &reference.4.losses, &tag);
+        assert_bits_eq(&out.4.lse, &reference.4.lse, &tag);
+        assert_bits_eq(out.4.grad_h.as_slice(), reference.4.grad_h.as_slice(), &tag);
+        assert_bits_eq(out.4.grad_w.as_slice(), reference.4.grad_w.as_slice(), &tag);
+        assert_bits_eq(out.5.as_slice(), reference.5.as_slice(), &tag);
     }
 }
 
