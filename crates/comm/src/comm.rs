@@ -2,6 +2,7 @@
 //! and fallible `try_*` variants that surface injected faults as typed
 //! [`CommError`]s instead of panics.
 
+use crate::collective::{self, Seat};
 use crate::fault::{CommError, CrashAt, FaultPlan, LossKind};
 use crate::stats::{CommStats, FaultCounters};
 use crate::topology::{Topology, WireDtype};
@@ -12,6 +13,7 @@ use burst_obs::{
 };
 use burst_tensor::{Bf16Mat, Mat};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Wall-clock backstop for receives under a fault plan: the virtual-clock
@@ -55,7 +57,10 @@ pub struct CtrlMsg {
 /// algorithms are numerically exact end-to-end.
 #[derive(Debug, Clone)]
 pub enum MsgData {
-    Mat(Mat),
+    /// An f32 matrix, shared and immutable: forwarding a block another
+    /// rank also holds costs a pointer. Injected corruption copies it
+    /// first (`Arc::make_mut`), so the other holders never see it.
+    Mat(Arc<Mat>),
     /// A matrix rounded to bfloat16 at the sender (half-width wire format;
     /// see [`crate::topology::WireDtype`]). Decoded back to `f32` on receive.
     Bf16Mat(Bf16Mat),
@@ -149,11 +154,13 @@ impl MsgData {
     }
 
     /// Flip the sign bit of the first element (injected corruption). The
-    /// checksum is taken *before* this, so the receiver detects it.
+    /// checksum is taken *before* this, so the receiver detects it. A
+    /// shared matrix is copied first: the corruption reaches this message
+    /// only, never the sender's retained block or another rank's.
     fn corrupt_in_place(&mut self) {
         match self {
             MsgData::Mat(m) => {
-                if let Some(x) = m.as_mut_slice().first_mut() {
+                if let Some(x) = Arc::make_mut(m).as_mut_slice().first_mut() {
                     *x = f32::from_bits(x.to_bits() ^ 0x8000_0000);
                 }
             }
@@ -1146,8 +1153,28 @@ impl Communicator {
     /// circulates a ring is rounded exactly once.
     pub fn mat_payload(&self, m: Mat) -> MsgData {
         match self.topo.wire_dtype {
-            WireDtype::F32 => MsgData::Mat(m),
+            WireDtype::F32 => MsgData::Mat(Arc::new(m)),
             WireDtype::Bf16 => MsgData::Bf16Mat(Bf16Mat::from_mat(&m)),
+        }
+    }
+
+    /// [`Communicator::mat_payload`] for a block this rank keeps holding:
+    /// under [`WireDtype::F32`] the payload shares `m` (a pointer copy);
+    /// under [`WireDtype::Bf16`] it is re-encoded, which is lossless for a
+    /// block that already crossed a bf16 wire.
+    pub(crate) fn shared_payload(&self, m: &Arc<Mat>) -> MsgData {
+        match self.topo.wire_dtype {
+            WireDtype::F32 => MsgData::Mat(Arc::clone(m)),
+            WireDtype::Bf16 => MsgData::Bf16Mat(Bf16Mat::from_mat(m)),
+        }
+    }
+
+    /// `m` as a receiver of it would see it: unchanged under
+    /// [`WireDtype::F32`], encoded and decoded under [`WireDtype::Bf16`].
+    pub fn wire_round(&self, m: Mat) -> Mat {
+        match self.topo.wire_dtype {
+            WireDtype::F32 => m,
+            WireDtype::Bf16 => Bf16Mat::from_mat(&m).to_mat(),
         }
     }
 
@@ -1162,12 +1189,19 @@ impl Communicator {
     }
 
     /// Receive a matrix from `src`. Accepts either wire dtype — an f32
-    /// payload is returned untouched, a bf16 payload is decoded (exactly)
-    /// back to `f32`.
+    /// payload is returned untouched (moved out of its shared handle when
+    /// no one else holds it, copied otherwise), a bf16 payload is decoded
+    /// (exactly) back to `f32`.
     pub fn try_recv_mat(&mut self, src: usize) -> Result<Mat, CommError> {
+        self.try_recv_shared(src).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`Communicator::try_recv_mat`] without taking ownership: an f32
+    /// payload comes back as the shared block it travelled as.
+    pub(crate) fn try_recv_shared(&mut self, src: usize) -> Result<Arc<Mat>, CommError> {
         match self.try_recv(src)? {
             MsgData::Mat(m) => Ok(m),
-            MsgData::Bf16Mat(m) => Ok(m.to_mat()),
+            MsgData::Bf16Mat(m) => Ok(Arc::new(m.to_mat())),
             MsgData::Ctrl(c) => Err(self.aborted_by(src, c)),
             other => Err(CommError::ShapeMismatch {
                 rank: self.rank,
@@ -1320,7 +1354,9 @@ impl Communicator {
     ///
     /// Implements the standard `G-1`-step ring (each step forwards the block
     /// received in the previous step), so port occupancy and latency follow
-    /// the real algorithm.
+    /// the real algorithm. Under a bf16 wire every block, this rank's own
+    /// included, comes back wire-rounded, so every rank returns the same
+    /// bits.
     pub fn all_gather_mat(&mut self, mine: &Mat) -> Vec<Mat> {
         match self.try_all_gather_mat(mine) {
             Ok(v) => v,
@@ -1330,22 +1366,16 @@ impl Communicator {
 
     /// Fallible [`Communicator::all_gather_mat`].
     pub fn try_all_gather_mat(&mut self, mine: &Mat) -> Result<Vec<Mat>, CommError> {
-        let g = self.world_size();
-        let mut parts: Vec<Option<Mat>> = vec![None; g];
-        parts[self.rank] = Some(mine.clone());
-        let mut cursor = self.rank; // index of the block we forward next
-        for _ in 0..g.saturating_sub(1) {
-            let outgoing = parts[cursor].clone().expect("ring all-gather invariant");
-            let payload = self.mat_payload(outgoing);
-            self.try_send(self.next_rank(), payload)?;
-            let incoming = self.try_recv_mat(self.prev_rank())?;
-            cursor = (cursor + g - 1) % g;
-            parts[cursor] = Some(incoming);
-        }
-        Ok(parts
-            .into_iter()
-            .map(|p| p.expect("ring all-gather missed a block"))
-            .collect())
+        let blocks = collective::all_gather(self, &Seat::world(self), mine.clone())?;
+        Ok(blocks.into_iter().map(Arc::unwrap_or_clone).collect())
+    }
+
+    /// Ring all-gather stacked by rows: every rank's block, in rank order,
+    /// as one matrix. The blocks circulate shared, so the stack is the only
+    /// copy of the gathered data.
+    pub fn try_all_gather_stacked(&mut self, mine: Mat) -> Result<Mat, CommError> {
+        let blocks = collective::all_gather(self, &Seat::world(self), mine)?;
+        Ok(Mat::vstack(&blocks))
     }
 
     /// Ring reduce-scatter (sum): `parts[d]` is this rank's contribution to
@@ -1370,37 +1400,8 @@ impl Communicator {
             self.rank,
             parts.len()
         );
-        if g == 1 {
-            return Ok(parts[0].clone());
-        }
-        // Standard ring: block b starts at rank (b + G - 1) % G and flows
-        // toward decreasing ranks, accumulating, until it lands on rank b.
-        let mut acc: Vec<Mat> = parts.to_vec();
-        let mut cursor = (self.rank + 1) % g; // block we send first
-        for _ in 0..g - 1 {
-            let outgoing = acc[cursor].clone();
-            let payload = self.mat_payload(outgoing);
-            self.try_send(self.prev_rank(), payload)?;
-            let incoming = self.try_recv_mat(self.next_rank())?;
-            cursor = (cursor + 1) % g;
-            if incoming.shape() != acc[cursor].shape() {
-                return Err(CommError::ShapeMismatch {
-                    rank: self.rank,
-                    src: self.next_rank(),
-                    expected: "reduce-scatter block of matching shape",
-                    got: format!(
-                        "Mat {}x{} (expected {}x{})",
-                        incoming.rows(),
-                        incoming.cols(),
-                        acc[cursor].rows(),
-                        acc[cursor].cols()
-                    ),
-                });
-            }
-            acc[cursor].add_assign(&incoming);
-        }
-        debug_assert_eq!(cursor, self.rank);
-        Ok(acc[self.rank].clone())
+        let views: Vec<_> = parts.iter().map(Mat::view).collect();
+        collective::reduce_scatter(self, &Seat::world(self), &views)
     }
 
     /// All-reduce (sum) of a matrix: ring reduce-scatter over row blocks
@@ -1419,41 +1420,12 @@ impl Communicator {
         if g == 1 {
             return Ok(m.clone());
         }
+        let seat = Seat::world(self);
         if m.rows().is_multiple_of(g) && m.rows() >= g {
-            let parts = m.chunk_rows(g);
-            let mine = self.try_reduce_scatter_mat(&parts)?;
-            let gathered = self.try_all_gather_mat(&mine)?;
-            Ok(Mat::vstack(&gathered))
+            let mine = collective::reduce_scatter(self, &seat, &collective::row_views(m, g))?;
+            Ok(Mat::vstack(&collective::all_gather(self, &seat, mine)?))
         } else {
-            // Gather to rank 0, reduce, broadcast.
-            if self.rank == 0 {
-                let mut acc = m.clone();
-                for src in 1..g {
-                    let part = self.try_recv_mat(src)?;
-                    if part.shape() != acc.shape() {
-                        return Err(CommError::ShapeMismatch {
-                            rank: self.rank,
-                            src,
-                            expected: "all-reduce contribution of matching shape",
-                            got: format!(
-                                "Mat {}x{} (expected {}x{})",
-                                part.rows(),
-                                part.cols(),
-                                acc.rows(),
-                                acc.cols()
-                            ),
-                        });
-                    }
-                    acc.add_assign(&part);
-                }
-                for dst in 1..g {
-                    self.try_send_mat(dst, &acc)?;
-                }
-                Ok(acc)
-            } else {
-                self.try_send_mat(0, m)?;
-                self.try_recv_mat(0)
-            }
+            collective::star_all_reduce(self, &seat, m)
         }
     }
 
@@ -1500,7 +1472,9 @@ impl Communicator {
             .collect())
     }
 
-    /// Broadcast from `root`. Non-root ranks pass `None`.
+    /// Broadcast from `root`. Non-root ranks pass `None`. Every rank, the
+    /// root included, returns the matrix as the wire delivers it, so all
+    /// ranks hold the same bits under a bf16 wire too.
     #[track_caller]
     pub fn broadcast_mat(&mut self, root: usize, m: Option<&Mat>) -> Mat {
         match self.try_broadcast_mat(root, m) {
@@ -1516,12 +1490,19 @@ impl Communicator {
             let m = m.unwrap_or_else(|| {
                 panic!("rank {}: broadcast: root must supply the matrix", self.rank)
             });
+            let m = if self.world_size() > 1 {
+                self.wire_round(m.clone())
+            } else {
+                m.clone()
+            };
+            let shared = Arc::new(m);
             for dst in 0..self.world_size() {
                 if dst != root {
-                    self.try_send_mat(dst, m)?;
+                    let payload = self.shared_payload(&shared);
+                    self.try_send(dst, payload)?;
                 }
             }
-            Ok(m.clone())
+            Ok(Arc::unwrap_or_clone(shared))
         } else {
             self.try_recv_mat(root)
         }

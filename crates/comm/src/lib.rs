@@ -28,6 +28,7 @@
 //! ranks, NVLink intra-node, one InfiniBand NIC per GPU inter-node
 //! ([`Topology::a800`]).
 
+mod collective;
 pub mod comm;
 pub mod fault;
 pub mod membership;
@@ -41,8 +42,9 @@ pub use comm::{saturating_deadline, Communicator, CtrlKind, CtrlMsg, Msg, MsgDat
 pub use fault::{ChurnEvent, ChurnKind, CommError, CrashAt, FaultPlan, LossKind};
 pub use membership::{
     agree_on_eviction, agree_on_join, agree_on_leave, send_abort, shrink_all_gather_mat,
-    shrink_all_reduce_mat, shrink_all_reduce_vec, shrink_barrier, shrink_reduce_scatter_mat,
-    shrink_ring_shift, AgreeOutcome, JoinOutcome, Membership, RetryPolicy,
+    shrink_all_gather_stacked, shrink_all_reduce_mat, shrink_all_reduce_vec, shrink_barrier,
+    shrink_reduce_scatter_mat, shrink_ring_shift, AgreeOutcome, JoinOutcome, Membership,
+    RetryPolicy,
 };
 pub use stats::{CommStats, FaultCounters};
 pub use topology::{Link, Topology, WireDtype};

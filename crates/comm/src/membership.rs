@@ -37,14 +37,16 @@
 //! the receiver's drain — so by the time a survivor drains, all stale
 //! messages addressed to it are already in its queues.
 
+use crate::collective::{self, Seat};
 use crate::comm::{Communicator, CtrlKind, CtrlMsg, MsgData};
 use crate::fault::{splitmix64, CommError};
 use burst_obs::SpanKind;
-use burst_tensor::Mat;
+use burst_tensor::{Mat, MatRef};
+use std::sync::Arc;
 
 /// Burn one retry backoff as virtual compute and count it (the metrics
 /// layer reports control-plane retries as a fault-survival signal).
-fn backoff_retry(comm: &mut Communicator, policy: &RetryPolicy, attempt: u32) {
+pub(crate) fn backoff_retry(comm: &mut Communicator, policy: &RetryPolicy, attempt: u32) {
     comm.faults.retries += 1;
     comm.advance_compute_named("retry_backoff", policy.backoff(attempt, comm.rank()));
 }
@@ -783,55 +785,12 @@ pub fn shrink_all_reduce_mat(
         return Ok(mat.clone());
     }
     if mat.rows().is_multiple_of(g) && mat.rows() >= g {
-        let parts = mat.chunk_rows(g);
-        let mine = shrink_reduce_scatter_mat(comm, m, &parts, policy)?;
-        let gathered = shrink_all_gather_mat(comm, m, &mine, policy)?;
-        return Ok(Mat::vstack(&gathered));
+        let mine = shrink_reduce_scatter(comm, m, &collective::row_views(mat, g), policy)?;
+        return shrink_all_gather_stacked(comm, m, mine, policy);
     }
     let (members, pos) = ring_neighbors(comm, m);
-    let attempt = (|| {
-        if pos == 0 {
-            let mut acc = mat.clone();
-            for &src in &members[1..] {
-                let part = recv_mat_retry(comm, src, policy)?;
-                if part.shape() != acc.shape() {
-                    return Err(CommError::ShapeMismatch {
-                        rank: comm.rank(),
-                        src,
-                        expected: "all-reduce contribution of matching shape",
-                        got: format!("Mat {}x{}", part.rows(), part.cols()),
-                    });
-                }
-                acc.add_assign(&part);
-            }
-            for &dst in &members[1..] {
-                comm.try_send_mat(dst, &acc)?;
-            }
-            Ok(acc)
-        } else {
-            comm.try_send_mat(members[0], mat)?;
-            recv_mat_retry(comm, members[0], policy)
-        }
-    })();
+    let attempt = collective::star_all_reduce(comm, &Seat::new(members, pos, Some(policy)), mat);
     finish_collective(comm, m, attempt, policy)
-}
-
-/// Receive a matrix from `src`, retrying timeouts on the policy schedule.
-fn recv_mat_retry(
-    comm: &mut Communicator,
-    src: usize,
-    policy: &RetryPolicy,
-) -> Result<Mat, CommError> {
-    let mut attempt = 0u32;
-    loop {
-        match comm.try_recv_mat(src) {
-            Err(CommError::Timeout { .. }) if attempt + 1 < policy.max_attempts.max(1) => {
-                backoff_retry(comm, policy, attempt);
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
 }
 
 /// Shared epilogue of every shrinking collective: on failure, pill the
@@ -929,26 +888,23 @@ pub fn shrink_all_gather_mat(
     policy: &RetryPolicy,
 ) -> Result<Vec<Mat>, CommError> {
     let (members, pos) = ring_neighbors(comm, m);
-    let g = members.len();
-    let attempt = (|| {
-        let mut parts: Vec<Option<Mat>> = vec![None; g];
-        parts[pos] = Some(mine.clone());
-        let next = members[(pos + 1) % g];
-        let prev = members[(pos + g - 1) % g];
-        let mut cursor = pos;
-        for _ in 0..g.saturating_sub(1) {
-            let outgoing = parts[cursor].clone().expect("shrink all-gather invariant");
-            let payload = comm.mat_payload(outgoing);
-            comm.try_send(next, payload)?;
-            let incoming = recv_mat_retry(comm, prev, policy)?;
-            cursor = (cursor + g - 1) % g;
-            parts[cursor] = Some(incoming);
-        }
-        Ok(parts
-            .into_iter()
-            .map(|p| p.expect("shrink all-gather missed a block"))
-            .collect())
-    })();
+    let attempt =
+        collective::all_gather(comm, &Seat::new(members, pos, Some(policy)), mine.clone())
+            .map(|blocks| blocks.into_iter().map(Arc::unwrap_or_clone).collect());
+    finish_collective(comm, m, attempt, policy)
+}
+
+/// [`shrink_all_gather_mat`] stacked by rows in ring order, the
+/// membership-aware [`Communicator::try_all_gather_stacked`].
+pub fn shrink_all_gather_stacked(
+    comm: &mut Communicator,
+    m: &mut Membership,
+    mine: Mat,
+    policy: &RetryPolicy,
+) -> Result<Mat, CommError> {
+    let (members, pos) = ring_neighbors(comm, m);
+    let attempt = collective::all_gather(comm, &Seat::new(members, pos, Some(policy)), mine)
+        .map(|blocks| Mat::vstack(&blocks));
     finish_collective(comm, m, attempt, policy)
 }
 
@@ -961,42 +917,27 @@ pub fn shrink_reduce_scatter_mat(
     parts: &[Mat],
     policy: &RetryPolicy,
 ) -> Result<Mat, CommError> {
+    let views: Vec<_> = parts.iter().map(Mat::view).collect();
+    shrink_reduce_scatter(comm, m, &views, policy)
+}
+
+fn shrink_reduce_scatter(
+    comm: &mut Communicator,
+    m: &mut Membership,
+    parts: &[MatRef<'_>],
+    policy: &RetryPolicy,
+) -> Result<Mat, CommError> {
     let (members, pos) = ring_neighbors(comm, m);
-    let g = members.len();
     assert_eq!(
         parts.len(),
-        g,
+        members.len(),
         "rank {}: shrink reduce-scatter: need one part per alive rank \
-         ({} given, {g} alive)",
+         ({} given, {} alive)",
         comm.rank(),
-        parts.len()
+        parts.len(),
+        members.len()
     );
-    let attempt = (|acc: &mut Vec<Mat>| {
-        if g == 1 {
-            return Ok(acc[0].clone());
-        }
-        let next = members[(pos + 1) % g];
-        let prev = members[(pos + g - 1) % g];
-        let mut cursor = (pos + 1) % g;
-        for _ in 0..g - 1 {
-            let outgoing = acc[cursor].clone();
-            let payload = comm.mat_payload(outgoing);
-            comm.try_send(prev, payload)?;
-            let incoming = recv_mat_retry(comm, next, policy)?;
-            cursor = (cursor + 1) % g;
-            if incoming.shape() != acc[cursor].shape() {
-                return Err(CommError::ShapeMismatch {
-                    rank: comm.rank(),
-                    src: next,
-                    expected: "shrink reduce-scatter block of matching shape",
-                    got: format!("Mat {}x{}", incoming.rows(), incoming.cols()),
-                });
-            }
-            acc[cursor].add_assign(&incoming);
-        }
-        debug_assert_eq!(cursor, pos);
-        Ok(acc[pos].clone())
-    })(&mut parts.to_vec());
+    let attempt = collective::reduce_scatter(comm, &Seat::new(members, pos, Some(policy)), parts);
     finish_collective(comm, m, attempt, policy)
 }
 

@@ -4,6 +4,7 @@
 
 use burst_comm::{Link, MsgData, Topology, World};
 use burst_tensor::Mat;
+use std::sync::Arc;
 
 fn rank_mat(rank: usize, rows: usize, cols: usize) -> Mat {
     Mat::from_fn(rows, cols, |r, c| (rank * 100 + r * cols + c) as f32)
@@ -330,8 +331,8 @@ fn flat_ring_crossing_nodes_is_gated_by_nic() {
         let (_, makespan, _) = world.run_timed(|comm| {
             let mut buf = rank_mat(comm.rank(), 64, 64);
             for _ in 0..comm.world_size() - 1 {
-                match comm.ring_shift(MsgData::Mat(buf.clone())) {
-                    MsgData::Mat(m) => buf = m,
+                match comm.ring_shift(MsgData::Mat(Arc::new(buf.clone()))) {
+                    MsgData::Mat(m) => buf = Arc::unwrap_or_clone(m),
                     other => panic!("unexpected {other:?}"),
                 }
             }
@@ -381,9 +382,10 @@ fn bf16_wire_dtype_halves_bytes_and_rounds_payloads() {
 #[test]
 fn bf16_collectives_round_once_and_agree_across_ranks() {
     use burst_comm::WireDtype;
-    // All-gather under bf16: every rank must see the same rounded blocks,
-    // and a block that traversed multiple hops must equal the one-hop
-    // rounding (re-encoding a decoded matrix is lossless).
+    // All-gather under bf16: every rank — the block's owner included — must
+    // see the same rounded blocks, and a block that traversed multiple hops
+    // must equal the one-hop rounding (re-encoding a decoded matrix is
+    // lossless).
     let topo = Topology::single_node(4).with_wire_dtype(WireDtype::Bf16);
     let world = World::new(topo);
     let outs = world.run_results(|comm| {
@@ -396,9 +398,6 @@ fn bf16_collectives_round_once_and_agree_across_ranks() {
         let expect =
             Mat::from_fn(3, 5, |r, c| 0.123 + (rank * 100 + r * 5 + c) as f32 * 0.017).to_bf16();
         for (viewer, out) in outs.iter().enumerate() {
-            if viewer == rank {
-                continue; // own block never crossed the wire
-            }
             assert_eq!(
                 out[rank], expect,
                 "viewer {viewer} sees rank {rank}'s block rounded exactly once"

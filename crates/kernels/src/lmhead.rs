@@ -14,13 +14,16 @@
 //! makes the backward exp-free: `∇Logits = P̃ · exp(max − Lse) / N` is a pure
 //! row scaling. One `exp` per logit total.
 //!
-//! Large problems run two parallel passes with a decomposition fixed by the
-//! tile sizes — row tiles own disjoint `∇H`/loss rows, vocabulary tiles own
-//! disjoint `∇W` rows — and the per-tile loss sum uses a fixed-shape tree
-//! reduction, so results are bit-identical for any thread count. (The
-//! parallel path recomputes each logits tile once in the `∇W` pass and
-//! keeps one live row tile *per task*, trading the serial path's strict
-//! `B_s × v` bound for speed.)
+//! Problems with more than one row tile (`N > B_s`) and enough volume run
+//! two parallel passes with a decomposition fixed by the tile sizes — row
+//! tiles own disjoint `∇H`/loss rows, vocabulary tiles own disjoint `∇W`
+//! rows — and the per-tile loss sum uses a fixed-shape tree reduction, so
+//! results are bit-identical for any thread count and to the serial path.
+//! (The parallel path recomputes each logits tile once in the `∇W` pass
+//! and keeps one live row tile *per task*, trading the serial path's strict
+//! `B_s × v` bound for speed.) With a single row tile the `∇H` pass has
+//! nothing to split and the recompute would add a third to the serial
+//! work, so that case stays serial.
 //!
 //! Gradient convention: mean-reduced cross-entropy, i.e.
 //! `∇Logits = (softmax(Logits) − onehot(Y)) / N`.
@@ -381,9 +384,7 @@ pub fn fused_lm_loss_with_blocks(
     };
     let sblocks = row_blocks(n, block_s);
     let vblocks = row_blocks(v, block_v);
-    let parallel = (sblocks.len() > 1 || vblocks.len() > 1)
-        && n * v * d >= PAR_VOLUME
-        && rayon::current_num_threads() > 1;
+    let parallel = sblocks.len() > 1 && n * v * d >= PAR_VOLUME && rayon::current_num_threads() > 1;
     if parallel {
         lm_par_h(
             &ctx,

@@ -17,8 +17,8 @@
 use crate::param::Param;
 use burst_comm::obs::MemCategory;
 use burst_comm::{
-    shrink_all_gather_mat, shrink_all_reduce_mat, CommError, Communicator, Membership, RetryPolicy,
-    SpanKind,
+    shrink_all_gather_stacked, shrink_all_reduce_mat, CommError, Communicator, Membership,
+    RetryPolicy, SpanKind, WireDtype,
 };
 use burst_tensor::Mat;
 
@@ -27,9 +27,31 @@ fn shard_range(rows: usize, g: usize, rank: usize) -> (usize, usize) {
     (rows * rank / g, rows * (rank + 1) / g)
 }
 
+/// Install a gathered parameter after checking it against the replica as
+/// the wire delivers it (bf16-rounded under a bf16 wire), which catches any
+/// divergence between ranks.
+fn install_gathered(comm: &Communicator, p: &mut Param, gathered: Mat) {
+    debug_assert_eq!(gathered.shape(), p.w.shape());
+    let agrees = match comm.topology().wire_dtype {
+        WireDtype::F32 => burst_tensor::testutil::allclose(&gathered, &p.w, 1e-6, 1e-6),
+        WireDtype::Bf16 => {
+            let sent = comm.wire_round(p.w.clone());
+            burst_tensor::testutil::allclose(&gathered, &sent, 1e-6, 1e-6)
+        }
+    };
+    assert!(
+        agrees,
+        "FSDP: rank replicas diverged for a parameter of shape {:?}",
+        p.w.shape()
+    );
+    p.w = gathered;
+}
+
 /// All-gather every parameter's row shard (charges the weight-gather
 /// traffic; the gathered values must reproduce the replica, which is
-/// asserted — catching any divergence between ranks).
+/// asserted — catching any divergence between ranks). Under a bf16 wire
+/// the gathered, bf16-rounded weights become the replica, identically on
+/// every rank.
 pub fn gather_weights(comm: &mut Communicator, params: &mut [&mut Param]) {
     let g = comm.world_size();
     if g == 1 {
@@ -46,17 +68,13 @@ pub fn gather_weights(comm: &mut Communicator, params: &mut [&mut Param]) {
             comm.mem_wire_bytes(p.w.rows() * p.w.cols()),
         );
         comm.span_begin(SpanKind::Optim, "fsdp_gather");
-        let parts = comm.all_gather_mat(&shard);
+        let gathered = match comm.try_all_gather_stacked(shard) {
+            Ok(m) => m,
+            Err(e) => comm.escalate(e),
+        };
         comm.span_end();
-        let gathered = Mat::vstack(&parts);
         comm.mem_free(buf);
-        debug_assert_eq!(gathered.shape(), p.w.shape());
-        assert!(
-            burst_tensor::testutil::allclose(&gathered, &p.w, 1e-6, 1e-6),
-            "FSDP: rank replicas diverged for a parameter of shape {:?}",
-            p.w.shape()
-        );
-        p.w = gathered;
+        install_gathered(comm, p, gathered);
     }
 }
 
@@ -87,19 +105,13 @@ pub fn try_gather_weights_m(
             comm.mem_wire_bytes(p.w.rows() * p.w.cols()),
         );
         comm.span_begin(SpanKind::Optim, "fsdp_gather");
-        let parts = shrink_all_gather_mat(comm, m, &shard, policy);
+        let gathered = shrink_all_gather_stacked(comm, m, shard, policy);
         comm.span_end();
         // A member dying mid-gather leaves `buf` open; the ledger
         // force-closes it with a warning — the crash's true footprint.
-        let gathered = Mat::vstack(&parts?);
+        let gathered = gathered?;
         comm.mem_free(buf);
-        debug_assert_eq!(gathered.shape(), p.w.shape());
-        assert!(
-            burst_tensor::testutil::allclose(&gathered, &p.w, 1e-6, 1e-6),
-            "FSDP: rank replicas diverged for a parameter of shape {:?}",
-            p.w.shape()
-        );
-        p.w = gathered;
+        install_gathered(comm, p, gathered);
     }
     Ok(())
 }

@@ -474,13 +474,23 @@ pub fn validate_mem(r: &MemReport) -> Result<(), String> {
 
 /// Sweep-line peak of one category's entry intervals (release-before-
 /// charge at equal timestamps, matching the live ledger's drain order).
+///
+/// A zero-length entry (closed at the instant it opened) holds its bytes
+/// over no span of time, so the sweep leaves it out; kept in, its close
+/// would sort ahead of its own open. Dropping it keeps the sweep a lower
+/// bound on the live peak, which did count it for that instant.
 pub fn replay_peak(entries: &[MemEntry], cat: MemCategory) -> u64 {
     // (time, is_open, bytes); closes sort before opens at the same time.
     let mut events: Vec<(u64, bool, u64)> = Vec::new();
     for e in entries.iter().filter(|e| e.cat == cat) {
-        events.push((time_key(e.open), true, e.bytes));
-        if let Some(c) = e.close {
-            events.push((time_key(c), false, e.bytes));
+        match e.close.map(time_key) {
+            Some(c) if c == time_key(e.open) => {}
+            close => {
+                events.push((time_key(e.open), true, e.bytes));
+                if let Some(c) = close {
+                    events.push((c, false, e.bytes));
+                }
+            }
         }
     }
     events.sort_by_key(|&(t, open, _)| (t, open));
@@ -682,6 +692,51 @@ mod tests {
         assert_eq!(replay_peak(&r.entries, MemCategory::CkptStash), 35);
         assert_eq!(r.peak.ckpt_stash, 35);
         validate_mem(&r).unwrap();
+    }
+
+    #[test]
+    fn zero_length_entries_do_not_underflow_the_replay() {
+        // The crash path opens and closes scratch buffers at one instant,
+        // next to a longer-lived entry of the same category.
+        let mut l = MemLedger::new(0);
+        let long = l.alloc("long", MemCategory::RingShards, 256, 0.0);
+        let t = 9.0077e-6;
+        let a = l.alloc("burst_bwd_dkv", MemCategory::RingShards, 1024, t);
+        let b = l.alloc("burst_dq_buf", MemCategory::RingShards, 512, t);
+        l.free(b, t);
+        l.free(a, t);
+        l.free(long, 2.0 * t);
+        let r = l.finish(3.0 * t);
+        assert_eq!(r.peak.ring_shards, 1792, "the live peak counts them");
+        assert_eq!(replay_peak(&r.entries, MemCategory::RingShards), 256);
+        validate_mem(&r).unwrap();
+        // A category holding only a zero-length entry replays to nothing.
+        let mut l = MemLedger::new(0);
+        let z = l.alloc("z", MemCategory::CommBuffers, 64, 1.0);
+        l.free(z, 1.0);
+        let r = l.finish(2.0);
+        assert_eq!(replay_peak(&r.entries, MemCategory::CommBuffers), 0);
+        validate_mem(&r).unwrap();
+    }
+
+    #[test]
+    fn counter_events_never_go_negative_on_zero_length_entries() {
+        // Every event at one timestamp is summed before a sample is
+        // emitted, so an entry closed at the instant it opened nets to zero
+        // there instead of dipping below it.
+        let mut l = MemLedger::new(0);
+        let long = l.alloc("long", MemCategory::CkptStash, 100, 0.0);
+        let z = l.alloc("z", MemCategory::CkptStash, 40, 1.0);
+        l.free(z, 1.0);
+        let z2 = l.alloc("z2", MemCategory::CkptStash, 40, 2.0);
+        l.free(long, 2.0);
+        l.free(z2, 2.0);
+        let r = l.finish(3.0);
+        let values: Vec<f64> = mem_counter_events(&r, 0)
+            .iter()
+            .map(|e| e.args.value)
+            .collect();
+        assert_eq!(values, [100.0, 100.0, 0.0]);
     }
 
     #[test]

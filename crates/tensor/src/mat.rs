@@ -3,6 +3,7 @@
 //! without copying.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A borrowed, row-major, dense `f32` matrix view.
@@ -362,14 +363,16 @@ impl Mat {
         self.data[start * self.cols..(start + src.rows) * self.cols].copy_from_slice(&src.data);
     }
 
-    /// Stack matrices vertically (all must share `cols`).
+    /// Stack matrices vertically (all must share `cols`). Takes owned
+    /// matrices or any handle that borrows one (`&Mat`, `Arc<Mat>`).
     #[track_caller]
-    pub fn vstack(parts: &[Mat]) -> Mat {
+    pub fn vstack<M: Borrow<Mat>>(parts: &[M]) -> Mat {
         assert!(!parts.is_empty(), "Mat::vstack: empty input");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
+        let cols = parts[0].borrow().cols;
+        let rows: usize = parts.iter().map(|p| p.borrow().rows).sum();
         let mut data = Vec::with_capacity(rows * cols);
         for p in parts {
+            let p = p.borrow();
             assert_eq!(p.cols, cols, "Mat::vstack: col mismatch");
             data.extend_from_slice(&p.data);
         }
